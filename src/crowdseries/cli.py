@@ -12,18 +12,15 @@ from __future__ import annotations
 import json
 import logging
 import sys
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 
 import click
 
-from . import augment as aug
-from . import detect as det
-from . import storage
-from .errors import CrowdSeriesError, EmptyInputError, InsufficientDataError
+from . import pipeline, storage
+from .errors import ConfigurationError, CrowdSeriesError, EmptyInputError, InsufficientDataError
 from .ingest import FrameGeometry, filter_by_class, parse_segment_csv
-from .pipeline import PipelineConfig, build_series, discover_segments, emit_plot_data, run_pipeline
-from .stl import StlConfig, stl_decompose
+from .stl import StlConfig
 from .synth import SyntheticScenario, generate_fixture
 
 EXIT_VALIDATION = 2
@@ -31,27 +28,34 @@ EXIT_INSUFFICIENT = 3
 EXIT_IO = 4
 
 
-def _fail(exc):
-    click.echo(f"error: {exc}", err=True)
-    if isinstance(exc, (InsufficientDataError, EmptyInputError)):
-        sys.exit(EXIT_INSUFFICIENT)
-    if isinstance(exc, OSError):
-        sys.exit(EXIT_IO)
-    sys.exit(EXIT_VALIDATION)
+class _ExitCodeGroup(click.Group):
+    """Reports a subcommand's package or I/O error as `error: ...` and exits 2, 3 or 4."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except (CrowdSeriesError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            if isinstance(exc, (InsufficientDataError, EmptyInputError)):
+                sys.exit(EXIT_INSUFFICIENT)
+            sys.exit(EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION)
 
 
 def _parse_geometry(text: str) -> FrameGeometry:
     # "1280x720@1" -> width, height, fps
     dims, _, fps = text.partition("@")
     width, _, height = dims.partition("x")
-    return FrameGeometry(int(width), int(height), float(fps or 1.0))
+    try:
+        return FrameGeometry(int(width), int(height), float(fps or 1.0))
+    except ValueError as exc:
+        raise ConfigurationError(f"bad geometry {text!r}, expected WIDTHxHEIGHT@FPS") from exc
 
 
-def _config_from_options(config_path, overrides) -> PipelineConfig:
+def _config_from_options(config_path, overrides) -> pipeline.PipelineConfig:
     if config_path:
-        config = PipelineConfig.from_json(config_path)
+        config = pipeline.PipelineConfig.from_json(config_path)
     else:
-        config = PipelineConfig(
+        config = pipeline.PipelineConfig(
             input_dir=overrides.get("input") or ".",
             output_dir=overrides.get("output") or "out",
         )
@@ -74,7 +78,7 @@ def _config_from_options(config_path, overrides) -> PipelineConfig:
     return config
 
 
-@click.group()
+@click.group(cls=_ExitCodeGroup)
 @click.option("-v", "--verbose", is_flag=True, help="Enable debug logging.")
 def main(verbose):
     logging.basicConfig(level=logging.DEBUG if verbose else logging.WARNING)
@@ -106,13 +110,8 @@ def _with_options(options):
 @click.option("--weeks", type=int)
 def run(config_path, **overrides):
     """Run the full pipeline over a directory of segment CSVs."""
-    try:
-        config = _config_from_options(config_path, overrides)
-        reports = run_pipeline(config, emit_plots=True)
-    except CrowdSeriesError as exc:
-        _fail(exc)
-    except OSError as exc:
-        _fail(exc)
+    config = _config_from_options(config_path, overrides)
+    reports = pipeline.run_pipeline(config, emit_plots=True)
     for kind, report in reports.items():
         click.echo(
             f"{kind}: {len(report['collective'])} collective run(s), "
@@ -127,41 +126,28 @@ def run(config_path, **overrides):
 @click.option("--skip-bad-rows", is_flag=True)
 def ingest(input_dir, geometry, classes, skip_bad_rows):
     """Parse and validate segment CSVs; print per-file record counts."""
-    try:
-        geo = _parse_geometry(geometry)
-        segments = discover_segments(Path(input_dir))
-        if not segments:
-            raise InsufficientDataError(f"no segment files in {input_dir}")
-        total = 0
-        for ts, path in sorted(segments.items()):
-            with path.open("r", encoding="utf-8") as fh:
-                records = parse_segment_csv(fh, geo, skip_bad_rows=skip_bad_rows)
-            if classes:
-                records = filter_by_class(records, classes.split(","))
-            click.echo(f"{path.name}: {len(records)} record(s)")
-            total += len(records)
-        click.echo(f"total: {total} record(s) in {len(segments)} segment(s)")
-    except CrowdSeriesError as exc:
-        _fail(exc)
-    except OSError as exc:
-        _fail(exc)
+    geo = _parse_geometry(geometry)
+    segments = pipeline.discover_segments(Path(input_dir))
+    if not segments:
+        raise InsufficientDataError(f"no segment files in {input_dir}")
+    total = 0
+    for ts, path in sorted(segments.items()):
+        with path.open("r", encoding="utf-8") as fh:
+            records = parse_segment_csv(fh, geo, skip_bad_rows=skip_bad_rows)
+        if classes:
+            records = filter_by_class(records, classes.split(","))
+        click.echo(f"{path.name}: {len(records)} record(s)")
+        total += len(records)
+    click.echo(f"total: {total} record(s) in {len(segments)} segment(s)")
 
 
 @main.command()
 @_with_options(pipeline_options)
 def series(config_path, **overrides):
     """Aggregate segment CSVs into the count and saturation series."""
-    try:
-        config = _config_from_options(config_path, overrides)
-        config.output_dir.mkdir(parents=True, exist_ok=True)
-        built = build_series(config)
-        for kind, s in built.items():
-            storage.write_series(s, config.output_dir / f"series_{kind}.csv", config.geometry)
-            click.echo(f"series_{kind}.csv: {len(s)} interval(s), {len(s.gaps)} gap(s)")
-    except CrowdSeriesError as exc:
-        _fail(exc)
-    except OSError as exc:
-        _fail(exc)
+    config = _config_from_options(config_path, overrides)
+    for path, s in pipeline.series_stage(config):
+        click.echo(f"{path.name}: {len(s)} interval(s), {len(s.gaps)} gap(s)")
 
 
 @main.command()
@@ -172,20 +158,15 @@ def series(config_path, **overrides):
 @click.option("--fraction", type=float, default=0.5, show_default=True)
 def augment(series_path, output, seed, weeks, fraction):
     """Extend a stored series backwards with synthetic history."""
-    try:
-        s = storage.read_series(series_path)
-        subset = aug.partition_for_stats(s, fraction, seed=seed)
-        stats = aug.grouped_stats(subset)
-        extended = aug.extend_backward(s, stats, weeks=weeks, seed=seed)
-        out = Path(output)
-        out.mkdir(parents=True, exist_ok=True)
-        storage.write_grouped_stats(stats, out / f"grouped_stats_{s.kind}.csv")
-        storage.write_series(extended, out / f"augmented_{s.kind}.csv")
-        click.echo(f"augmented_{s.kind}.csv: {len(extended)} interval(s)")
-    except CrowdSeriesError as exc:
-        _fail(exc)
-    except OSError as exc:
-        _fail(exc)
+    path, extended = pipeline.augment_stage(
+        storage.read_series(series_path),
+        output,
+        weeks=weeks,
+        fraction=fraction,
+        seed=seed,
+        geometry=storage.read_series_geometry(series_path),
+    )
+    click.echo(f"{path.name}: {len(extended)} interval(s)")
 
 
 @main.command()
@@ -198,24 +179,15 @@ def augment(series_path, output, seed, weeks, fraction):
 @click.option("--outer", type=int, default=1, show_default=True)
 def decompose(series_path, output, period, seasonal_window, trend_window, inner, outer):
     """STL-decompose a stored series into trend, seasonal and residual."""
-    try:
-        s = storage.read_series(series_path)
-        config = StlConfig(
-            period=period,
-            seasonal_window=seasonal_window,
-            trend_window=trend_window,
-            inner_iterations=inner,
-            outer_iterations=outer,
-        )
-        decomp = stl_decompose(s, config)
-        out = Path(output)
-        out.mkdir(parents=True, exist_ok=True)
-        storage.write_decomposition(s, decomp, out / f"decomposition_{s.kind}.csv")
-        click.echo(f"decomposition_{s.kind}.csv: {len(s)} interval(s)")
-    except CrowdSeriesError as exc:
-        _fail(exc)
-    except OSError as exc:
-        _fail(exc)
+    config = StlConfig(
+        period=period,
+        seasonal_window=seasonal_window,
+        trend_window=trend_window,
+        inner_iterations=inner,
+        outer_iterations=outer,
+    )
+    path, decomp = pipeline.decompose_stage(storage.read_series(series_path), config, output)
+    click.echo(f"{path.name}: {len(decomp.trend)} interval(s)")
 
 
 @main.command()
@@ -226,29 +198,18 @@ def decompose(series_path, output, period, seasonal_window, trend_window, inner,
 @click.option("--max-anoms", type=int, default=None)
 def detect(series_path, decomposition, output, alpha, max_anoms):
     """Detect collective and point anomalies; write the JSON report."""
-    try:
-        s = storage.read_series(series_path)
-        decomp = storage.read_decomposition(decomposition)
-        spec = det.compute_threshold(s)
-        collectives = det.collective_anomalies(decomp.trend, spec)
-        esd_config = det.EsdConfig(
-            max_anomalies=max_anoms
-            or det.EsdConfig.default_for(len(s), alpha).max_anomalies,
-            alpha=alpha,
-        )
-        points = det.seasonal_esd(decomp, collectives, esd_config, series=s)
-        report = det.build_report(s.kind, s, spec, collectives, points)
-        out = Path(output)
-        out.mkdir(parents=True, exist_ok=True)
-        storage.write_report(report, out / f"report_{s.kind}.json")
-        click.echo(
-            f"report_{s.kind}.json: {len(collectives)} collective run(s), "
-            f"{len(points)} point anomaly(ies)"
-        )
-    except CrowdSeriesError as exc:
-        _fail(exc)
-    except OSError as exc:
-        _fail(exc)
+    path, report = pipeline.detect_stage(
+        storage.read_series(series_path),
+        storage.read_decomposition(decomposition),
+        output,
+        alpha=alpha,
+        max_anomalies=max_anoms,
+        config_echo={"esd_alpha": alpha, "esd_max_anomalies": max_anoms},
+    )
+    click.echo(
+        f"{path.name}: {len(report['collective'])} collective run(s), "
+        f"{len(report['points'])} point anomaly(ies)"
+    )
 
 
 @main.command()
@@ -277,13 +238,9 @@ def synth(scenario, output, seed):
             geometry=FrameGeometry(**geometry) if geometry else FrameGeometry(64, 36, 1.0),
         )
         counts = generate_fixture(sc, output)
-        click.echo(f"wrote {len(counts)} segment file(s) to {output}")
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
-        _fail(CrowdSeriesError(f"bad scenario file: {exc}"))
-    except CrowdSeriesError as exc:
-        _fail(exc)
-    except OSError as exc:
-        _fail(exc)
+    except (KeyError, ValueError) as exc:  # json.JSONDecodeError is a ValueError
+        raise CrowdSeriesError(f"bad scenario file: {exc}") from exc
+    click.echo(f"wrote {len(counts)} segment file(s) to {output}")
 
 
 @main.command("plot-data")
@@ -293,18 +250,13 @@ def synth(scenario, output, seed):
 @click.option("--output", type=click.Path(), required=True)
 def plot_data(report_path, series_path, decomposition, output):
     """Emit figure-ready CSVs for a stored report and decomposition."""
-    try:
-        report = storage.read_report(report_path)
-        s = storage.read_series(series_path)
-        decomp = storage.read_decomposition(decomposition)
-        out = Path(output)
-        out.mkdir(parents=True, exist_ok=True)
-        emit_plot_data(report, decomp, s, out)
-        click.echo(f"plot data written to {output}")
-    except CrowdSeriesError as exc:
-        _fail(exc)
-    except OSError as exc:
-        _fail(exc)
+    report = storage.read_report(report_path)
+    s = storage.read_series(series_path)
+    decomp = storage.read_decomposition(decomposition)
+    out = Path(output)
+    out.mkdir(parents=True, exist_ok=True)
+    pipeline.emit_plot_data(report, decomp, s, out)
+    click.echo(f"plot data written to {output}")
 
 
 if __name__ == "__main__":

@@ -130,11 +130,12 @@ def _parse_mask(text: str, row=None) -> MaskGeometry:
     return MaskGeometry(polygon)
 
 
-def format_mask(mask: MaskGeometry) -> str:
-    def num(v):
-        return str(int(v)) if float(v).is_integer() else repr(v)
+def _num(v) -> str:
+    return str(int(v)) if float(v).is_integer() else repr(v)
 
-    return "[" + ",".join(f"({num(x)},{num(y)})" for x, y in mask.polygon) + "]"
+
+def format_mask(mask: MaskGeometry) -> str:
+    return "[" + ",".join(f"({_num(x)},{_num(y)})" for x, y in mask.polygon) + "]"
 
 
 def parse_segment_csv(content, geometry: FrameGeometry, skip_bad_rows: bool = False):
@@ -211,21 +212,13 @@ def serialize_records(records) -> str:
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for r in records:
-        x_min, y_min, x_max, y_max = r.bbox
-
-        def num(v):
-            return str(int(v)) if float(v).is_integer() else repr(v)
-
         writer.writerow(
             [
                 format_timestamp(r.timestamp),
                 r.class_id,
                 r.class_name,
                 repr(r.confidence),
-                num(x_min),
-                num(y_min),
-                num(x_max),
-                num(y_max),
+                *(_num(v) for v in r.bbox),
                 format_mask(r.mask),
             ]
         )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from . import augment as aug
 from . import detect, storage
-from .errors import CrowdSeriesError, InsufficientDataError
+from .errors import ConfigurationError, CrowdSeriesError, InsufficientDataError
 from .ingest import FrameGeometry, filter_by_class, format_timestamp, parse_segment_csv
 from .series import (
     KIND_COUNT,
@@ -70,19 +70,28 @@ class PipelineConfig:
 
     @classmethod
     def from_json(cls, path) -> "PipelineConfig":
-        raw = json.loads(Path(path).read_text())
+        """Load a JSON config; bad JSON, keys or value types raise ConfigurationError."""
+        try:
+            raw = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as exc:
+            raise ConfigurationError(f"{path}: malformed JSON: {exc}") from exc
+        if not isinstance(raw, dict):
+            raise ConfigurationError(f"{path}: expected a JSON object")
         geometry = raw.pop("geometry", None)
         stl_raw = raw.pop("stl", {})
         step_seconds = raw.pop("step_seconds", None)
-        if "allowed_classes" in raw:
-            raw["allowed_classes"] = tuple(raw["allowed_classes"])
-        config = cls(**raw)
-        if geometry is not None:
-            config.geometry = FrameGeometry(**geometry)
-        if step_seconds is not None:
-            config.step = timedelta(seconds=step_seconds)
-        for kind, params in stl_raw.items():
-            config.stl[kind] = StlConfig(**params)
+        try:  # an unknown or missing key, or a value of the wrong type
+            if "allowed_classes" in raw:
+                raw["allowed_classes"] = tuple(raw["allowed_classes"])
+            config = cls(**raw)
+            if geometry is not None:
+                config.geometry = FrameGeometry(**geometry)
+            if step_seconds is not None:
+                config.step = timedelta(seconds=step_seconds)
+            for kind, params in stl_raw.items():
+                config.stl[kind] = StlConfig(**params)
+        except TypeError as exc:
+            raise ConfigurationError(f"{path}: {exc}") from exc
         return config
 
     def echo(self) -> dict:
@@ -170,15 +179,11 @@ def _run_stage(manifest, stage, input_hash, outputs, compute):
         return False
     try:
         compute()
-    except CrowdSeriesError:
-        for p in outputs:
-            Path(p).unlink(missing_ok=True)
-        raise
-    except OSError:
-        raise
     except Exception as exc:
         for p in outputs:
             Path(p).unlink(missing_ok=True)
+        if isinstance(exc, (CrowdSeriesError, OSError)):
+            raise
         raise StageError(stage, exc) from exc
     manifest.record(stage, input_hash, outputs)
     return True
@@ -219,6 +224,62 @@ def build_series(config: PipelineConfig):
     return {KIND_COUNT: counts, KIND_SATURATION: saturation}
 
 
+def _artifact(out, stem, kind, suffix=".csv") -> Path:
+    return Path(out) / f"{stem}_{kind}{suffix}"
+
+
+def series_stage(config: PipelineConfig):
+    """Build and write both interval series; returns ``[(path, series)]`` per kind."""
+    config.output_dir.mkdir(parents=True, exist_ok=True)
+    built = build_series(config)
+    written = []
+    for kind in KINDS:
+        path = _artifact(config.output_dir, "series", kind)
+        storage.write_series(built[kind], path, config.geometry)
+        written.append((path, built[kind]))
+    return written
+
+
+def augment_stage(series, output_dir, *, weeks, fraction, seed, geometry):
+    """Write grouped stats and the backward-extended series; returns ``(path, extended)``."""
+    Path(output_dir).mkdir(parents=True, exist_ok=True)
+    subset = aug.partition_for_stats(series, fraction, seed=seed)
+    stats = aug.grouped_stats(subset)
+    storage.write_grouped_stats(stats, _artifact(output_dir, "grouped_stats", series.kind))
+    extended = aug.extend_backward(series, stats, weeks=weeks, seed=seed)
+    path = _artifact(output_dir, "augmented", series.kind)
+    storage.write_series(extended, path, geometry)
+    return path, extended
+
+
+def decompose_stage(series, stl_config: StlConfig, output_dir):
+    """STL-decompose and write ``series``; returns ``(path, decomposition)``."""
+    Path(output_dir).mkdir(parents=True, exist_ok=True)
+    decomp = stl_decompose(series, stl_config)
+    path = _artifact(output_dir, "decomposition", series.kind)
+    storage.write_decomposition(series, decomp, path)
+    return path, decomp
+
+
+def detect_stage(series, decomp, output_dir, *, alpha, max_anomalies, config_echo):
+    """Find and report collective and point anomalies; returns ``(path, report)``."""
+    Path(output_dir).mkdir(parents=True, exist_ok=True)
+    spec = detect.compute_threshold(series)
+    collectives = detect.collective_anomalies(decomp.trend, spec)
+    esd_config = detect.EsdConfig(
+        max_anomalies=max_anomalies
+        or detect.EsdConfig.default_for(len(series), alpha).max_anomalies,
+        alpha=alpha,
+    )
+    points = detect.seasonal_esd(decomp, collectives, esd_config, series=series)
+    report = detect.build_report(
+        series.kind, series, spec, collectives, points, config_echo=config_echo
+    )
+    path = _artifact(output_dir, "report", series.kind, ".json")
+    storage.write_report(report, path)
+    return path, report
+
+
 def run_pipeline(config: PipelineConfig, emit_plots: bool = False):
     """Run all stages; returns {kind: report dict} for both series."""
     out = config.output_dir
@@ -233,21 +294,16 @@ def run_pipeline(config: PipelineConfig, emit_plots: bool = False):
         [config.echo()] + [f"{p.name}:{_sha256_file(p)}" for p in sorted(segments.values())]
     )
 
-    series_files = {kind: out / f"series_{kind}.csv" for kind in KINDS}
+    series_files = {kind: _artifact(out, "series", kind) for kind in KINDS}
     series_outputs = [p for f in series_files.values() for p in (f, f.with_suffix(".csv.meta"))]
 
-    def compute_series():
-        built = build_series(config)
-        for kind in KINDS:
-            storage.write_series(built[kind], series_files[kind], config.geometry)
-
-    _run_stage(manifest, "series", segment_hash, series_outputs, compute_series)
+    _run_stage(manifest, "series", segment_hash, series_outputs, lambda: series_stage(config))
     series = {kind: storage.read_series(series_files[kind]) for kind in KINDS}
 
     analyzed_files = dict(series_files)
     if config.augment_weeks >= 1:
-        stats_files = {kind: out / f"grouped_stats_{kind}.csv" for kind in KINDS}
-        augmented_files = {kind: out / f"augmented_{kind}.csv" for kind in KINDS}
+        stats_files = {kind: _artifact(out, "grouped_stats", kind) for kind in KINDS}
+        augmented_files = {kind: _artifact(out, "augmented", kind) for kind in KINDS}
         augment_hash = _hash_inputs(
             [segment_hash, config.augment_weeks, config.augment_fraction, config.seed]
         )
@@ -259,22 +315,21 @@ def run_pipeline(config: PipelineConfig, emit_plots: bool = False):
 
         def compute_augment():
             for kind in KINDS:
-                subset = aug.partition_for_stats(
-                    series[kind], config.augment_fraction, seed=config.seed
+                augment_stage(
+                    series[kind],
+                    out,
+                    weeks=config.augment_weeks,
+                    fraction=config.augment_fraction,
+                    seed=config.seed,
+                    geometry=config.geometry,
                 )
-                stats = aug.grouped_stats(subset)
-                storage.write_grouped_stats(stats, stats_files[kind])
-                extended = aug.extend_backward(
-                    series[kind], stats, weeks=config.augment_weeks, seed=config.seed
-                )
-                storage.write_series(extended, augmented_files[kind], config.geometry)
 
         _run_stage(manifest, "augment", augment_hash, aug_outputs, compute_augment)
         analyzed_files = augmented_files
 
     analyzed = {kind: storage.read_series(analyzed_files[kind]) for kind in KINDS}
 
-    decomp_files = {kind: out / f"decomposition_{kind}.csv" for kind in KINDS}
+    decomp_files = {kind: _artifact(out, "decomposition", kind) for kind in KINDS}
     decomp_hash = _hash_inputs(
         [_sha256_file(analyzed_files[k]) for k in KINDS]
         + [repr(config.stl[k]) for k in KINDS]
@@ -282,35 +337,26 @@ def run_pipeline(config: PipelineConfig, emit_plots: bool = False):
 
     def compute_decompose():
         for kind in KINDS:
-            decomp = stl_decompose(analyzed[kind], config.stl[kind])
-            storage.write_decomposition(analyzed[kind], decomp, decomp_files[kind])
+            decompose_stage(analyzed[kind], config.stl[kind], out)
 
     _run_stage(manifest, "decompose", decomp_hash, list(decomp_files.values()), compute_decompose)
     decomps = {kind: storage.read_decomposition(decomp_files[kind]) for kind in KINDS}
 
-    report_files = {kind: out / f"report_{kind}.json" for kind in KINDS}
+    report_files = {kind: _artifact(out, "report", kind, ".json") for kind in KINDS}
     detect_hash = _hash_inputs(
         [decomp_hash, config.esd_alpha, config.esd_max_anomalies]
     )
 
     def compute_detect():
         for kind in KINDS:
-            observed = analyzed[kind]
-            spec = detect.compute_threshold(observed)
-            collectives = detect.collective_anomalies(decomps[kind].trend, spec)
-            n = len(observed)
-            esd_config = detect.EsdConfig(
-                max_anomalies=config.esd_max_anomalies
-                or detect.EsdConfig.default_for(n, config.esd_alpha).max_anomalies,
+            detect_stage(
+                analyzed[kind],
+                decomps[kind],
+                out,
                 alpha=config.esd_alpha,
+                max_anomalies=config.esd_max_anomalies,
+                config_echo=config.echo(),
             )
-            points = detect.seasonal_esd(
-                decomps[kind], collectives, esd_config, series=observed
-            )
-            report = detect.build_report(
-                kind, observed, spec, collectives, points, config_echo=config.echo()
-            )
-            storage.write_report(report, report_files[kind])
 
     _run_stage(manifest, "detect", detect_hash, list(report_files.values()), compute_detect)
     reports = {kind: storage.read_report(report_files[kind]) for kind in KINDS}

@@ -179,15 +179,3 @@ def heatmap_series(
         values[i] = saturation_value(heatmap, geometry)
     return IntervalSeries(start, step, values, KIND_SATURATION, gaps=tuple(gaps))
 
-
-def group_records_by_interval(records, window, step=STEP_15_MIN):
-    """Bucket records by the start timestamp of their enclosing interval."""
-    _check_window(window, step)
-    start, end = window
-    buckets = defaultdict(list)
-    for r in records:
-        if r.timestamp < start or r.timestamp >= end:
-            continue
-        i = (r.timestamp - start) // step
-        buckets[start + i * step].append(r)
-    return dict(buckets)

@@ -47,14 +47,19 @@ def write_series(series: IntervalSeries, path, geometry: FrameGeometry | None = 
     sidecar.write_text("".join(f"{k}={v}\n" for k, v in meta.items()))
 
 
-def read_series(path) -> IntervalSeries:
-    path = Path(path)
+def _read_meta(path) -> dict:
     sidecar = path.with_suffix(path.suffix + ".meta")
     meta = {}
     for line in sidecar.read_text().splitlines():
         if line.strip():
             k, _, v = line.partition("=")
             meta[k] = v
+    return meta
+
+
+def read_series(path) -> IntervalSeries:
+    path = Path(path)
+    meta = _read_meta(path)
     lines = path.read_text().splitlines()
     if not lines or lines[0] != "timestamp,value":
         raise SchemaError(f"{path}: expected 'timestamp,value' header")
@@ -70,6 +75,14 @@ def read_series(path) -> IntervalSeries:
         kind=meta["kind"],
         gaps=gaps,
     )
+
+
+def read_series_geometry(path) -> FrameGeometry | None:
+    """Frame geometry recorded in a series' `.meta` sidecar; None if absent."""
+    meta = _read_meta(Path(path))
+    if "width" not in meta:
+        return None
+    return FrameGeometry(int(meta["width"]), int(meta["height"]), float(meta["fps"]))
 
 
 def write_grouped_stats(stats: GroupedStats, path):

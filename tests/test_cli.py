@@ -76,59 +76,41 @@ def test_series_subcommand(runner, segments_dir, tmp_path):
 
 
 def test_stagewise_chain(runner, segments_dir, tmp_path):
-    out = tmp_path / "out"
-    geometry = ["--geometry", "16x16@1"]
-    assert (
-        runner.invoke(
-            main, ["series", "--input", str(segments_dir), "--output", str(out)] + geometry
-        ).exit_code
-        == 0
-    )
-    assert (
-        runner.invoke(
-            main,
-            [
-                "augment",
-                "--series",
-                str(out / "series_count.csv"),
-                "--output",
-                str(out),
-                "--seed",
-                "4",
-                "--weeks",
-                "2",
-            ],
-        ).exit_code
-        == 0
-    )
-    assert (
-        runner.invoke(
-            main,
-            [
-                "decompose",
-                "--series",
-                str(out / "augmented_count.csv"),
-                "--output",
-                str(out),
-            ],
-        ).exit_code
-        == 0
-    )
-    result = runner.invoke(
-        main,
-        [
-            "detect",
-            "--series",
-            str(out / "augmented_count.csv"),
-            "--decomposition",
-            str(out / "decomposition_count.csv"),
-            "--output",
-            str(out),
-        ],
-    )
-    assert result.exit_code == 0, result.output
-    report = read_report(out / "report_count.json")
-    assert report["series_kind"] == "count"
+    # the stage subcommands, given run's geometry, seed and weeks, write run's bytes
+    run_out, out = tmp_path / "run", tmp_path / "stages"
+    geometry = ("--geometry", "16x16@1")
+    seeding = ("--seed", "4", "--weeks", "2")
+
+    def invoke(*args):
+        result = runner.invoke(main, [str(a) for a in args])
+        assert result.exit_code == 0, result.output
+
+    invoke("run", "--input", segments_dir, "--output", run_out, *geometry, *seeding)
+    invoke("series", "--input", segments_dir, "--output", out, *geometry)
+    for kind in ("count", "saturation"):
+        augmented = out / f"augmented_{kind}.csv"
+        decomposition = out / f"decomposition_{kind}.csv"
+        invoke("augment", "--series", out / f"series_{kind}.csv", "--output", out, *seeding)
+        invoke("decompose", "--series", augmented, "--output", out)
+        invoke(
+            "detect", "--series", augmented, "--decomposition", decomposition, "--output", out
+        )
+
+        for name in (
+            f"series_{kind}.csv",
+            f"series_{kind}.csv.meta",
+            f"grouped_stats_{kind}.csv",
+            f"augmented_{kind}.csv",
+            f"augmented_{kind}.csv.meta",
+            f"decomposition_{kind}.csv",
+        ):
+            assert (out / name).read_bytes() == (run_out / name).read_bytes(), name
+        staged = read_report(out / f"report_{kind}.json")
+        full = read_report(run_out / f"report_{kind}.json")
+        for key in ("esd_alpha", "esd_max_anomalies"):
+            assert staged["config_echo"][key] == full["config_echo"][key]
+        del staged["config_echo"], full["config_echo"]
+        assert staged == full
 
 
 def test_augment_requires_seed(runner, segments_dir, tmp_path):
@@ -176,6 +158,28 @@ def test_run_with_config_file(runner, segments_dir, tmp_path):
     assert result.exit_code == 0, result.output
     report = read_report(out / "report_count.json")
     assert report["config_echo"]["seed"] == 5
+
+
+@pytest.mark.parametrize(
+    "config, options",
+    [
+        ('{"input_dir": "in", "output_dir": "out", "bogus": 1}', []),
+        ('{"input_dir": "in", ', []),
+        ('{"input_dir": "in", "output_dir": "out", "geometry": {"w": 16}}', []),
+        (None, ["--geometry", "banana"]),
+    ],
+    ids=["unknown-key", "malformed-json", "bad-geometry-key", "bad-geometry-option"],
+)
+def test_run_misconfiguration_exit_2(runner, tmp_path, config, options):
+    if config is None:
+        options = ["--input", str(tmp_path), "--output", str(tmp_path / "out")] + options
+    else:
+        config_path = tmp_path / "config.json"
+        config_path.write_text(config)
+        options = ["--config", str(config_path)] + options
+    result = runner.invoke(main, ["run"] + options)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error:")
 
 
 def test_run_empty_input_exit_3(runner, tmp_path):

@@ -1,10 +1,13 @@
+import errno
 import json
 from datetime import timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import utc
+from crowdseries import storage
 from crowdseries.errors import InsufficientDataError
 from crowdseries.ingest import FrameGeometry
 from crowdseries.pipeline import (
@@ -168,6 +171,27 @@ def test_stage_caching_skips_unchanged_stages(fixture_dir, tmp_path):
     assert (out / "decomposition_count.csv").stat().st_mtime_ns == decomp_mtime
     assert (out / "report_count.json").exists()
     assert reports["count"]["series_kind"] == "count"
+
+
+def test_os_error_removes_stage_outputs(fixture_dir, tmp_path, monkeypatch):
+    path, _ = fixture_dir
+    out = tmp_path / "out"
+    real_write_series = storage.write_series
+    calls = []
+
+    def disk_full_on_second_call(series, target, geometry=None):
+        calls.append(target)
+        if len(calls) == 2:
+            Path(target).write_text("timestamp,va")  # a truncated write
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return real_write_series(series, target, geometry)
+
+    monkeypatch.setattr(storage, "write_series", disk_full_on_second_call)
+    with pytest.raises(OSError) as info:
+        run_pipeline(make_config(path, out))
+    assert info.value.errno == errno.ENOSPC
+    assert len(calls) == 2
+    assert not list(out.glob("series_*"))
 
 
 def test_cache_invalidated_by_config_change(fixture_dir, tmp_path):

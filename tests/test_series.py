@@ -13,7 +13,6 @@ from crowdseries.series import (
     Heatmap,
     accumulate_heatmap,
     count_series,
-    group_records_by_interval,
     heatmap_series,
     per_frame_counts,
     saturation_value,
@@ -192,10 +191,3 @@ class TestHeatmapSeries:
         s = heatmap_series({T0: records}, (T0, T0 + STEP_15_MIN), small_geometry)
         assert s.values[0] > 0
 
-
-class TestGroupRecordsByInterval:
-    def test_buckets_by_interval_start(self):
-        r1 = make_record(T0 + timedelta(minutes=3))
-        r2 = make_record(T0 + timedelta(minutes=18))
-        buckets = group_records_by_interval([r1, r2], (T0, T0 + 2 * STEP_15_MIN))
-        assert buckets == {T0: [r1], T0 + STEP_15_MIN: [r2]}
