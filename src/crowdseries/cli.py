@@ -225,7 +225,10 @@ def synth(scenario, output, seed):
             t = datetime.fromisoformat(text)
             return t.replace(tzinfo=timezone.utc) if t.tzinfo is None else t
 
-        geometry = raw.get("geometry")
+        try:
+            geometry = FrameGeometry(**raw["geometry"]) if raw.get("geometry") else None
+        except TypeError as exc:  # unknown, missing or mistyped geometry keys
+            raise CrowdSeriesError(f"bad scenario file: geometry: {exc}") from exc
         sc = SyntheticScenario(
             start=ts(raw["start"]),
             weeks=raw["weeks"],
@@ -235,7 +238,7 @@ def synth(scenario, output, seed):
             ],
             planted_spikes=[(ts(a), m) for a, m in raw.get("planted_spikes", [])],
             noise_seed=seed if raw.get("jitter", True) else None,
-            geometry=FrameGeometry(**geometry) if geometry else FrameGeometry(64, 36, 1.0),
+            geometry=geometry or FrameGeometry(64, 36, 1.0),
         )
         counts = generate_fixture(sc, output)
     except (KeyError, ValueError) as exc:  # json.JSONDecodeError is a ValueError

@@ -26,10 +26,6 @@ class AlignmentError(CrowdSeriesError):
     """Window boundaries are not aligned to the interval step."""
 
 
-class GeometryError(CrowdSeriesError):
-    """Frame geometry mismatch between records in one aggregation."""
-
-
 class InsufficientDataError(CrowdSeriesError):
     """Not enough data for the requested operation."""
 

@@ -12,6 +12,7 @@ import ast
 import csv
 import io
 import logging
+import math
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -20,6 +21,10 @@ import numpy as np
 from .errors import DegenerateMaskError, SchemaError, ValidationError
 
 log = logging.getLogger(__name__)
+
+# rasterize_mask tests the edge windows in batches of about this many cells
+# (one window may exceed it), which bounds its memory on long edges.
+_EDGE_BATCH_CELLS = 1 << 16
 
 CSV_COLUMNS = (
     "timestamp",
@@ -231,69 +236,87 @@ def filter_by_class(records, allowed_class_names):
     return [r for r in records if r.class_name in allowed]
 
 
-def rasterize_mask(mask: MaskGeometry, geometry: FrameGeometry) -> np.ndarray:
-    """Rasterize a polygon mask to a binary height x width occupancy grid.
+def rasterize_mask(
+    mask: MaskGeometry, geometry: FrameGeometry
+) -> tuple[int, int, np.ndarray]:
+    """Rasterize a polygon mask inside its bounding box.
 
-    A cell is set iff its center lies strictly inside the polygon under the
-    even-odd rule, or exactly on the polygon boundary. Raises
+    Returns ``(row0, col0, cells)``: ``cells`` is a bool grid over the
+    polygon's bounding box clipped to the frame, and ``cells[j, i]`` is
+    frame cell ``(row0 + j, col0 + i)``. No covered cell lies outside the
+    box. A cell is covered iff its centre lies strictly inside the polygon
+    under the even-odd rule, or exactly on the polygon boundary. Raises
     DegenerateMaskError when no cell is covered.
     """
     h, w = geometry.height, geometry.width
-    grid = np.zeros((h, w), dtype=np.uint8)
-    verts = np.asarray(mask.polygon, dtype=float)
-    x1 = verts[:, 0]
-    y1 = verts[:, 1]
-    x2 = np.roll(x1, -1)
-    y2 = np.roll(y1, -1)
+    p1 = np.asarray(mask.polygon, dtype=float)
+    p2 = np.concatenate((p1[1:], p1[:1]))  # edge k runs from p1[k] to p2[k]
+    (x_min, y_min), (x_max, y_max) = p1.min(axis=0).tolist(), p1.max(axis=0).tolist()
+    row0 = max(0, math.floor(y_min - 0.5))
+    col0 = max(0, math.floor(x_min - 0.5))
+    n_rows = max(0, min(h - 1, math.ceil(y_max)) - row0 + 1)
+    n_cols = max(0, min(w - 1, math.ceil(x_max)) - col0 + 1)
+    lo = np.minimum(p1, p2)
+    hi = np.maximum(p1, p2)
+    d = p2 - p1
 
-    # Scanline even-odd fill at cell centers (row center y = j + 0.5).
-    ymin = max(0, int(np.floor(verts[:, 1].min() - 0.5)))
-    ymax = min(h - 1, int(np.ceil(verts[:, 1].max())))
-    centers_x = np.arange(w) + 0.5
-    for j in range(ymin, ymax + 1):
-        yc = j + 0.5
-        # half-open span [min, max) avoids double-counting shared vertices
-        lo = np.minimum(y1, y2)
-        hi = np.maximum(y1, y2)
-        crossing = (lo <= yc) & (yc < hi)
-        if not crossing.any():
-            continue
-        xc = x1[crossing] + (yc - y1[crossing]) * (x2[crossing] - x1[crossing]) / (
-            y2[crossing] - y1[crossing]
+    # Scanline even-odd fill at cell centres (row centre y = j + 0.5), all
+    # rows at once: a cell is inside iff an odd number of crossings lie at
+    # or left of its centre. The half-open span [min, max) avoids
+    # double-counting shared vertices.
+    yc = np.arange(row0, row0 + n_rows) + 0.5
+    ycol = yc[:, None]
+    rows, edges = np.nonzero((lo[:, 1] <= ycol) & (ycol < hi[:, 1]))
+    (x1, y1), (dx, dy) = p1[edges].T, d[edges].T
+    xc = x1 + (yc[rows] - y1) * dx / dy
+    first = np.searchsorted(np.arange(col0, col0 + n_cols) + 0.5, xc)
+    toggles = np.bincount(rows * (n_cols + 1) + first, minlength=n_rows * (n_cols + 1))
+    parity = toggles.reshape(n_rows, n_cols + 1)[:, :n_cols].cumsum(axis=1) & 1
+    cells = parity.astype(bool)
+
+    # Cell centres lying exactly on an edge count as covered. Each edge is
+    # tested inside its own window, the cells around its bounding box
+    # clipped to the frame. The windows of all edges are enumerated
+    # together, in batches.
+    win_lo = np.maximum(np.floor(lo - 0.5).astype(int), 0)
+    win_n = np.maximum(np.minimum(np.ceil(hi).astype(int), (w - 1, h - 1)) - win_lo + 1, 0)
+    size = win_n[:, 0] * win_n[:, 1]
+    ends = np.cumsum(size)
+    # per edge: window origin in box coordinates, window width, first
+    # vertex, direction and squared length
+    per_edge = (
+        *(win_lo - (col0, row0)).T,
+        win_n[:, 0],
+        *p1.T,
+        *d.T,
+        d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1],
+    )
+    start = 0
+    while start < len(size):
+        base = ends[start] - size[start]
+        stop = max(start + 1, int(np.searchsorted(ends, base + _EDGE_BATCH_CELLS, "right")))
+        n = size[start:stop]
+        lo_i, lo_j, n_i, ex1, ey1, dx, dy, seg_len2 = (
+            np.repeat(v[start:stop], n) for v in per_edge
         )
-        xc.sort()
-        inside = np.zeros(w, dtype=bool)
-        for k in range(0, len(xc) - 1, 2):
-            inside |= (centers_x >= xc[k]) & (centers_x < xc[k + 1])
-        grid[j, inside] = 1
+        # k numbers the cells of each window row by row
+        k = np.arange(len(n_i)) - np.repeat(ends[start:stop] - n - base, n)
+        li = lo_i + k % n_i
+        lj = lo_j + k // n_i
+        a = (li + (col0 + 0.5)) - ex1
+        b = (lj + (row0 + 0.5)) - ey1
+        cross = a * dy - b * dx
+        dot = a * dx + b * dy
+        on_edge = np.where(
+            seg_len2 == 0,
+            (a == 0) & (b == 0),
+            (cross == 0) & (dot >= 0) & (dot <= seg_len2),
+        )
+        cells[lj[on_edge], li[on_edge]] = True
+        start = stop
 
-    _mark_boundary_cells(grid, x1, y1, x2, y2, w, h)
-
-    if not grid.any():
+    if not cells.any():
         raise DegenerateMaskError(
             f"polygon {mask.polygon} covers no cell on a {w}x{h} frame"
         )
-    return grid
-
-
-def _mark_boundary_cells(grid, x1, y1, x2, y2, w, h):
-    # Cell centers lying exactly on an edge count as covered.
-    for ex1, ey1, ex2, ey2 in zip(x1, y1, x2, y2):
-        lo_i = max(0, int(np.floor(min(ex1, ex2) - 0.5)))
-        hi_i = min(w - 1, int(np.ceil(max(ex1, ex2))))
-        lo_j = max(0, int(np.floor(min(ey1, ey2) - 0.5)))
-        hi_j = min(h - 1, int(np.ceil(max(ey1, ey2))))
-        if lo_i > hi_i or lo_j > hi_j:
-            continue
-        cx = np.arange(lo_i, hi_i + 1) + 0.5
-        cy = np.arange(lo_j, hi_j + 1) + 0.5
-        gx, gy = np.meshgrid(cx, cy)
-        dx, dy = ex2 - ex1, ey2 - ey1
-        cross = (gx - ex1) * dy - (gy - ey1) * dx
-        dot = (gx - ex1) * dx + (gy - ey1) * dy
-        seg_len2 = dx * dx + dy * dy
-        on_edge = (cross == 0) & (dot >= 0) & (dot <= seg_len2)
-        if seg_len2 == 0:
-            on_edge = (gx == ex1) & (gy == ey1)
-        jj, ii = np.nonzero(on_edge)
-        grid[jj + lo_j, ii + lo_i] = 1
+    return row0, col0, cells

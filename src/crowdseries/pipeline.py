@@ -370,6 +370,7 @@ def run_pipeline(config: PipelineConfig, emit_plots: bool = False):
 def emit_plot_data(report, decomp, series, output_dir):
     """Plot-ready CSVs: threshold bands, flagged residuals, panel data."""
     out = Path(output_dir)
+    fmt = storage._fmt
     kind = report["series_kind"]
     threshold = report["threshold"]
     in_run = set()
@@ -378,8 +379,8 @@ def emit_plot_data(report, decomp, series, output_dir):
     lines = ["timestamp,value,trend,upper,lower,collective_flag"]
     for i in range(len(series)):
         lines.append(
-            f"{format_timestamp(series.timestamp(i))},{series.values[i]!r},"
-            f"{decomp.trend[i]!r},{threshold['upper']!r},{threshold['lower']!r},"
+            f"{format_timestamp(series.timestamp(i))},{fmt(series.values[i])},"
+            f"{fmt(decomp.trend[i])},{fmt(threshold['upper'])},{fmt(threshold['lower'])},"
             f"{int(i in in_run)}"
         )
     (out / f"plot_threshold_{kind}.csv").write_text("\n".join(lines) + "\n")
@@ -389,7 +390,7 @@ def emit_plot_data(report, decomp, series, output_dir):
     for i in range(len(series)):
         rank = flagged.get(i, 0)
         lines.append(
-            f"{format_timestamp(series.timestamp(i))},{decomp.residual[i]!r},"
+            f"{format_timestamp(series.timestamp(i))},{fmt(decomp.residual[i])},"
             f"{int(i in flagged)},{rank}"
         )
     (out / f"plot_residual_{kind}.csv").write_text("\n".join(lines) + "\n")
@@ -397,7 +398,7 @@ def emit_plot_data(report, decomp, series, output_dir):
     lines = ["timestamp,observed,trend,seasonal,residual"]
     for i in range(len(series)):
         lines.append(
-            f"{format_timestamp(series.timestamp(i))},{series.values[i]!r},"
-            f"{decomp.trend[i]!r},{decomp.seasonal[i]!r},{decomp.residual[i]!r}"
+            f"{format_timestamp(series.timestamp(i))},{fmt(series.values[i])},"
+            f"{fmt(decomp.trend[i])},{fmt(decomp.seasonal[i])},{fmt(decomp.residual[i])}"
         )
     (out / f"plot_decomposition_{kind}.csv").write_text("\n".join(lines) + "\n")

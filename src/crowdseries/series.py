@@ -3,6 +3,13 @@
 Two series are produced per input directory: the per-interval maximum of
 the per-frame people counts, and the heatmap saturation percentage (sum of
 the interval's normalized occupancy map over its theoretical maximum).
+
+Masks are rasterized and accumulated inside their own bounding boxes; only
+the final saturation sum visits the whole frame. That sum is taken over the
+frame-sized grid of ``raw * (255 / frames)``, not as the cell-count total
+times ``255 / frames``: the two round differently whenever the scale is not
+a dyadic fraction (900 frames at 1 fps), and the grid-sum order keeps the
+stored saturation series byte-identical to earlier releases.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .errors import AlignmentError, GeometryError, ValidationError
+from .errors import AlignmentError, ValidationError
 from .ingest import FrameGeometry, rasterize_mask
 
 STEP_15_MIN = timedelta(minutes=15)
@@ -125,22 +132,30 @@ def accumulate_heatmap(records, geometry: FrameGeometry, frames: int) -> Heatmap
 
     Masks of the same frame are unioned first, so a cell can contribute at
     most once per frame and a cell occupied in every frame saturates to 255
-    after normalization.
+    after normalization. Each mask touches the map only inside its own
+    bounding box; ``seen`` marks the cells the current frame has already
+    counted and is cleared box by box before the next frame.
     """
     if frames <= 0:
         raise ValidationError("frames must be positive", field="frames")
     raw = np.zeros((geometry.height, geometry.width), dtype=float)
+    seen = np.zeros(raw.shape, dtype=bool)
     by_frame = defaultdict(list)
     for r in records:
         by_frame[r.timestamp].append(r)
     for frame_records in by_frame.values():
-        union = np.zeros((geometry.height, geometry.width), dtype=bool)
+        boxes = []
         for r in frame_records:
-            mask_grid = rasterize_mask(r.mask, geometry)
-            if mask_grid.shape != raw.shape:
-                raise GeometryError("mask grid does not match frame geometry")
-            union |= mask_grid.astype(bool)
-        raw += union
+            row0, col0, cells = rasterize_mask(r.mask, geometry)
+            box = (
+                slice(row0, row0 + cells.shape[0]),
+                slice(col0, col0 + cells.shape[1]),
+            )
+            raw[box] += cells & ~seen[box]
+            seen[box] |= cells
+            boxes.append(box)
+        for box in boxes:
+            seen[box] = False
     return Heatmap(raw, frames)
 
 

@@ -35,12 +35,25 @@ def point_in_polygon(px, py, polygon):
     return inside
 
 
-def brute_force_rasterize(polygon, width, height):
+def brute_force_rasterize(polygon, width, height, rows=None, cols=None):
+    """Frame grid of the cells whose centre the polygon covers.
+
+    Only the cells in ``rows`` x ``cols`` (default: the whole frame) are
+    scanned; the others stay 0.
+    """
     grid = np.zeros((height, width), dtype=np.uint8)
-    for j in range(height):
-        for i in range(width):
+    for j in range(height) if rows is None else rows:
+        for i in range(width) if cols is None else cols:
             if point_in_polygon(i + 0.5, j + 0.5, polygon):
                 grid[j, i] = 1
+    return grid
+
+
+def embed(raster, width, height):
+    """Frame grid of a box-local ``(row0, col0, cells)`` raster."""
+    row0, col0, cells = raster
+    grid = np.zeros((height, width), dtype=np.uint8)
+    grid[row0:row0 + cells.shape[0], col0:col0 + cells.shape[1]] = cells
     return grid
 
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats as scipy_stats
 
-from conftest import brute_force_loess, brute_force_rasterize, make_record, utc
+from conftest import brute_force_loess, brute_force_rasterize, embed, make_record, utc
 from crowdseries.augment import (
     GUMBEL,
     LAPLACE,
@@ -29,6 +29,7 @@ from crowdseries.ingest import (
     FrameGeometry,
     MaskGeometry,
     parse_segment_csv,
+    rasterize_mask,
     serialize_records,
 )
 from crowdseries.loess import loess_smooth
@@ -214,10 +215,16 @@ def test_criterion_7_series_aggregation_oracle(tmp_path):
             for frame_records in by_frame.values():
                 union = np.zeros_like(raw, dtype=bool)
                 for r in frame_records:
-                    union |= brute_force_rasterize(
+                    cells = brute_force_rasterize(
                         r.mask.polygon, geometry.width, geometry.height
-                    ).astype(bool)
+                    )
+                    np.testing.assert_array_equal(
+                        embed(rasterize_mask(r.mask, geometry), geometry.width, geometry.height),
+                        cells,
+                    )
+                    union |= cells.astype(bool)
                 raw += union
+            np.testing.assert_array_equal(heatmap.grid, raw)
             expected = raw.sum() * (255.0 / frames) / (
                 geometry.width * geometry.height * 255.0
             )

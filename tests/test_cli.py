@@ -216,6 +216,23 @@ def test_synth_requires_seed(runner, tmp_path):
     assert result.exit_code != 0
 
 
+def test_synth_bad_geometry_exit_2(runner, tmp_path):
+    scenario = {
+        "start": "2023-09-04T00:00:00",
+        "weeks": 1,
+        "daily_profile": [1] * 96,
+        "geometry": {"w": 16},
+    }
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(scenario))
+    result = runner.invoke(
+        main,
+        ["synth", "--scenario", str(scenario_path), "--output", str(tmp_path / "out"), "--seed", "1"],
+    )
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error:")
+
+
 def test_plot_data_subcommand(runner, segments_dir, tmp_path):
     out = tmp_path / "out"
     runner.invoke(
@@ -251,3 +268,9 @@ def test_plot_data_subcommand(runner, segments_dir, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert (plots / "plot_threshold_count.csv").exists()
+    paths = sorted(plots.glob("plot_*.csv"))
+    assert len(paths) == 3
+    for path in paths:
+        for line in path.read_text().splitlines()[1:]:
+            for field in line.split(",")[1:]:
+                float(field)  # e.g. not "np.float64(2.0)"

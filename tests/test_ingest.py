@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import brute_force_rasterize, make_record, utc
+from conftest import brute_force_rasterize, embed, make_record, utc
 from crowdseries.errors import DegenerateMaskError, SchemaError, ValidationError
 from crowdseries.ingest import (
     CSV_COLUMNS,
@@ -139,12 +139,12 @@ class TestRasterizeMask:
     def test_full_frame_rectangle(self):
         geo = FrameGeometry(8, 6, 1.0)
         mask = MaskGeometry(((0, 0), (7.5, 0), (7.5, 5.5), (0, 5.5)))
-        assert rasterize_mask(mask, geo).all()
+        assert embed(rasterize_mask(mask, geo), 8, 6).all()
 
     def test_triangle_matches_brute_force(self):
         geo = FrameGeometry(8, 8, 1.0)
         poly = ((0, 0), (4, 0), (0, 4))
-        grid = rasterize_mask(MaskGeometry(poly), geo)
+        grid = embed(rasterize_mask(MaskGeometry(poly), geo), 8, 8)
         expected = brute_force_rasterize(poly, 8, 8)
         np.testing.assert_array_equal(grid, expected)
 
@@ -168,8 +168,51 @@ class TestRasterizeMask:
         geo = FrameGeometry(width, height, 1.0)
         expected = brute_force_rasterize(poly, width, height)
         try:
-            grid = rasterize_mask(MaskGeometry(poly), geo)
+            grid = embed(rasterize_mask(MaskGeometry(poly), geo), width, height)
         except DegenerateMaskError:
             assert not expected.any()
             return
         np.testing.assert_array_equal(grid, expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.sampled_from([0, 2, 4 * GEO.width - 1, 4 * GEO.width // 2]),
+        st.sampled_from([0, 2, 4 * GEO.height - 1, 4 * GEO.height // 2]),
+        st.lists(
+            st.tuples(st.integers(-80, 80), st.integers(-80, 80), st.booleans()),
+            min_size=3,
+            max_size=8,
+        ),
+    )
+    def test_agrees_with_brute_force_at_camera_scale(self, qx, qy, offsets):
+        # Quarter-pixel vertices within 20 px of an anchor at a frame corner,
+        # an edge or the centre, clamped to the frame; a flagged vertex is
+        # moved onto the nearest cell centre, so edges run through i + 0.5.
+        poly = []
+        for ox, oy, on_centre in offsets:
+            x = min(max(qx + ox, 0), 4 * GEO.width - 1)
+            y = min(max(qy + oy, 0), 4 * GEO.height - 1)
+            if on_centre:
+                x, y = x - x % 4 + 2, y - y % 4 + 2
+            poly.append((x / 4, y / 4))
+        poly = tuple(poly)
+        xs, ys = [x for x, _ in poly], [y for _, y in poly]
+        try:
+            row0, col0, cells = rasterize_mask(MaskGeometry(poly), GEO)
+        except DegenerateMaskError:
+            rows = range(max(0, int(min(ys)) - 1), min(GEO.height, int(max(ys)) + 2))
+            cols = range(max(0, int(min(xs)) - 1), min(GEO.width, int(max(xs)) + 2))
+            assert not brute_force_rasterize(poly, GEO.width, GEO.height, rows, cols).any()
+            return
+        # the box holds every cell whose centre lies within the vertex bounds
+        assert row0 <= max(0, min(ys) - 0.5) and col0 <= max(0, min(xs) - 0.5)
+        assert row0 + cells.shape[0] >= min(GEO.height, max(ys) + 0.5)
+        assert col0 + cells.shape[1] >= min(GEO.width, max(xs) + 0.5)
+        rows = range(max(0, row0 - 1), min(GEO.height, row0 + cells.shape[0] + 1))
+        cols = range(max(0, col0 - 1), min(GEO.width, col0 + cells.shape[1] + 1))
+        expected = brute_force_rasterize(poly, GEO.width, GEO.height, rows, cols)
+        grid = embed((row0, col0, cells), GEO.width, GEO.height)
+        np.testing.assert_array_equal(grid, expected)
+        outside = expected.copy()
+        outside[row0:row0 + cells.shape[0], col0:col0 + cells.shape[1]] = 0
+        assert not outside.any()

@@ -14,6 +14,7 @@ from crowdseries.series import (
     accumulate_heatmap,
     count_series,
     heatmap_series,
+    nominal_frames,
     per_frame_counts,
     saturation_value,
 )
@@ -158,6 +159,27 @@ class TestSaturationValue:
         grid[:8] = 255.0
         h = Heatmap(grid, 900, normalized=True)
         assert saturation_value(h, small_geometry) == 0.5
+
+    def test_sums_the_scaled_grid_at_900_frames(self, small_geometry):
+        # Saturation sums raw * (255 / frames) over the grid. At 900 frames
+        # the scale is not dyadic, so scaling the cell-count total instead
+        # rounds differently; box b is occupied in b + 1 frames, which
+        # makes the two differ, and the stored series must not change.
+        frames = nominal_frames(STEP_15_MIN, small_geometry.fps)
+        assert frames == 900
+        records = [
+            make_record(T0 + timedelta(seconds=f), b) for b in range(4) for f in range(b + 1)
+        ]
+        heatmap = accumulate_heatmap(records, small_geometry, frames)
+        raw = heatmap.grid
+        scale = 255.0 / frames
+        denominator = small_geometry.width * small_geometry.height * 255.0
+        assert (raw * scale).sum() != raw.sum() * scale
+        expected = (raw * scale).sum() / denominator
+        assert expected != raw.sum() * scale / denominator
+        assert saturation_value(heatmap, small_geometry) == expected
+        s = heatmap_series({T0: records}, (T0, T0 + STEP_15_MIN), small_geometry)
+        assert s.values[0] == expected
 
 
 class TestHeatmapSeries:
