@@ -7,8 +7,6 @@ from .augment import (
     extend_backward,
     grouped_stats,
     partition_for_stats,
-    sample_gumbel,
-    sample_laplace,
 )
 from .detect import (
     CollectiveAnomaly,
@@ -31,12 +29,10 @@ from .ingest import (
 from .loess import loess_smooth
 from .pipeline import PipelineConfig, run_pipeline
 from .series import (
-    Heatmap,
     IntervalSeries,
     accumulate_heatmap,
     count_series,
     heatmap_series,
-    per_frame_counts,
     saturation_value,
 )
 from .stl import StlConfig, StlDecomposition, seasonal_strength, stl_decompose

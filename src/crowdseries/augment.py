@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import datetime, timedelta
+from datetime import datetime
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyInputError, ValidationError
+from .errors import ConfigurationError, InsufficientDataError, ValidationError
 from .series import KIND_COUNT, KIND_SATURATION, IntervalSeries
 
 GUMBEL = "gumbel"
@@ -86,7 +86,7 @@ def partition_for_stats(series: IntervalSeries, fraction=0.5, seed=0) -> SeriesS
     """Uniform without-replacement sample of ceil(fraction*n) points."""
     n = len(series)
     if n == 0:
-        raise EmptyInputError("cannot partition an empty series")
+        raise InsufficientDataError("cannot partition an empty series")
     if not 0 < fraction <= 1:
         raise ConfigurationError(f"fraction {fraction} outside (0, 1]")
     k = math.ceil(fraction * n)
@@ -105,7 +105,7 @@ def grouped_stats(subset: SeriesSample) -> GroupedStats:
     pooled across weekdays, then to the global median/IQR.
     """
     if len(subset.values) == 0:
-        raise EmptyInputError("cannot compute stats on an empty sample")
+        raise InsufficientDataError("cannot compute stats on an empty sample")
     by_key = {}
     by_time_of_day = {}
     for ts, v in zip(subset.timestamps, subset.values):
@@ -161,21 +161,17 @@ _SAMPLERS = {GUMBEL: sample_gumbel, LAPLACE: sample_laplace}
 
 
 def extend_backward(
-    series: IntervalSeries, stats: GroupedStats, weeks=8, family=None, seed=0
+    series: IntervalSeries, stats: GroupedStats, weeks=8, seed=0
 ) -> IntervalSeries:
     """Prepend ``weeks`` weeks of synthetic history; the tail is untouched.
 
+    Samples come from the family of the series kind (FAMILY_FOR_KIND).
     Count values are rounded to the nearest integer and clamped at 0;
     saturation values are clamped to [0, 1].
     """
     if weeks < 1:
         raise ConfigurationError("weeks must be >= 1")
-    if family is None:
-        family = FAMILY_FOR_KIND[series.kind]
-    if family != FAMILY_FOR_KIND[series.kind]:
-        raise ConfigurationError(
-            f"family {family} does not match series kind {series.kind}"
-        )
+    family = FAMILY_FOR_KIND[series.kind]
     sampler = _SAMPLERS[family]
     n_synth = weeks * SLOTS_PER_WEEK
     rng = np.random.default_rng(seed)

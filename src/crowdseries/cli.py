@@ -18,8 +18,8 @@ from pathlib import Path
 import click
 
 from . import pipeline, storage
-from .errors import ConfigurationError, CrowdSeriesError, EmptyInputError, InsufficientDataError
-from .ingest import FrameGeometry, filter_by_class, parse_segment_csv
+from .errors import ConfigurationError, CrowdSeriesError, InsufficientDataError
+from .ingest import FrameGeometry, filter_by_class
 from .stl import StlConfig
 from .synth import SyntheticScenario, generate_fixture
 
@@ -36,7 +36,7 @@ class _ExitCodeGroup(click.Group):
             return super().invoke(ctx)
         except (CrowdSeriesError, OSError) as exc:
             click.echo(f"error: {exc}", err=True)
-            if isinstance(exc, (InsufficientDataError, EmptyInputError)):
+            if isinstance(exc, InsufficientDataError):
                 sys.exit(EXIT_INSUFFICIENT)
             sys.exit(EXIT_IO if isinstance(exc, OSError) else EXIT_VALIDATION)
 
@@ -132,8 +132,7 @@ def ingest(input_dir, geometry, classes, skip_bad_rows):
         raise InsufficientDataError(f"no segment files in {input_dir}")
     total = 0
     for ts, path in sorted(segments.items()):
-        with path.open("r", encoding="utf-8") as fh:
-            records = parse_segment_csv(fh, geo, skip_bad_rows=skip_bad_rows)
+        records = pipeline.parse_segment_file(path, geo, skip_bad_rows, "ingest")
         if classes:
             records = filter_by_class(records, classes.split(","))
         click.echo(f"{path.name}: {len(records)} record(s)")

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigurationError, EmptyInputError, InsufficientDataError
+from .errors import ConfigurationError, InsufficientDataError
 from .ingest import format_timestamp
 from .series import IntervalSeries
 from .stl import StlDecomposition
@@ -51,14 +51,10 @@ class CollectiveAnomaly:
     def covers(self, index: int) -> bool:
         return self.start_index <= index <= self.end_index
 
-    def __len__(self):
-        return self.end_index - self.start_index + 1
-
 
 @dataclass
 class PointAnomaly:
     index: int
-    timestamp: object
     residual: float
     test_statistic: float
     critical_value: float
@@ -69,9 +65,7 @@ class PointAnomaly:
 class EsdConfig:
     max_anomalies: int
     alpha: float = 0.05
-    two_sided: bool = True
     robust: bool = False  # median/MAD location-scale instead of mean/SD
-    rank_by_magnitude: bool = False
 
     def __post_init__(self):
         if self.max_anomalies < 1:
@@ -88,7 +82,7 @@ def compute_threshold(original: IntervalSeries) -> ThresholdSpec:
     """median (linear-interpolation quantile) + population SD of the series."""
     values = np.asarray(original.values, dtype=float)
     if len(values) == 0:
-        raise EmptyInputError("cannot compute threshold on an empty series")
+        raise InsufficientDataError("cannot compute threshold on an empty series")
     return ThresholdSpec(
         median=float(np.median(values)), sigma=float(np.std(values))
     )
@@ -120,12 +114,10 @@ def collective_anomalies(trend, spec: ThresholdSpec):
     return runs
 
 
-def rosner_critical_value(n: int, i: int, alpha: float, two_sided: bool) -> float:
-    """lambda_i of the generalized ESD test at step i (1-based)."""
+def rosner_critical_value(n: int, i: int, alpha: float) -> float:
+    """Two-sided lambda_i of the generalized ESD test at step i (1-based)."""
     df = n - i - 1
-    tail = alpha / (n - i + 1)
-    if two_sided:
-        tail /= 2.0
+    tail = alpha / (n - i + 1) / 2.0
     t = t_ppf(1.0 - tail, df)
     return (n - i) * t / math.sqrt((df + t * t) * (n - i + 1))
 
@@ -156,13 +148,11 @@ def esd_test(values, config: EsdConfig):
             spread = subset.std(ddof=1)
         if spread == 0:
             break
-        deviations = values - center
-        if config.two_sided:
-            deviations = np.abs(deviations)
+        deviations = np.abs(values - center)
         deviations[~remaining] = -np.inf
         idx = int(np.argmax(deviations))
         statistic = deviations[idx] / spread
-        critical = rosner_critical_value(n, i, config.alpha, config.two_sided)
+        critical = rosner_critical_value(n, i, config.alpha)
         candidates.append((idx, float(statistic), float(critical)))
         if statistic > critical:
             last_exceeding = i
@@ -170,16 +160,11 @@ def esd_test(values, config: EsdConfig):
     return candidates[:last_exceeding]
 
 
-def seasonal_esd(
-    decomp: StlDecomposition,
-    exclusions,
-    config: EsdConfig,
-    series: IntervalSeries | None = None,
-):
+def seasonal_esd(decomp: StlDecomposition, exclusions, config: EsdConfig):
     """ESD on the residual, minus points inside collective runs, ranked.
 
-    Ranking is by signed residual descending by default (the magnitude
-    alternative is a config flag); ties break toward the earlier index.
+    Ranking is by signed residual, descending; ties break toward the
+    earlier index.
     """
     detections = esd_test(decomp.residual, config)
     survivors = [
@@ -187,40 +172,25 @@ def seasonal_esd(
         for idx, stat, crit in detections
         if not any(run.covers(idx) for run in exclusions)
     ]
-
-    def sort_key(item):
-        idx = item[0]
-        value = decomp.residual[idx]
-        if config.rank_by_magnitude:
-            value = abs(value)
-        return (-value, idx)
-
-    anomalies = []
-    for rank, (idx, stat, crit) in enumerate(sorted(survivors, key=sort_key), start=1):
-        anomalies.append(
-            PointAnomaly(
-                index=idx,
-                timestamp=series.timestamp(idx) if series is not None else None,
-                residual=float(decomp.residual[idx]),
-                test_statistic=stat,
-                critical_value=crit,
-                rank=rank,
-            )
+    survivors.sort(key=lambda item: (-decomp.residual[item[0]], item[0]))
+    return [
+        PointAnomaly(
+            index=idx,
+            residual=float(decomp.residual[idx]),
+            test_statistic=stat,
+            critical_value=crit,
+            rank=rank,
         )
-    return anomalies
+        for rank, (idx, stat, crit) in enumerate(survivors, start=1)
+    ]
 
 
 def build_report(
-    kind: str,
-    series: IntervalSeries,
-    spec: ThresholdSpec,
-    collectives,
-    points,
-    config_echo=None,
+    series: IntervalSeries, spec: ThresholdSpec, collectives, points, config_echo=None
 ) -> dict:
     """JSON-compatible anomaly report for one series."""
     return {
-        "series_kind": kind,
+        "series_kind": series.kind,
         "threshold": {
             "median": spec.median,
             "sigma": spec.sigma,

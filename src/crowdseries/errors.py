@@ -27,12 +27,9 @@ class AlignmentError(CrowdSeriesError):
 
 
 class InsufficientDataError(CrowdSeriesError):
-    """Not enough data for the requested operation."""
+    """Not enough data for the requested operation, including none at all."""
 
 
 class ConfigurationError(CrowdSeriesError):
     """Mutually inconsistent configuration values."""
 
-
-class EmptyInputError(CrowdSeriesError):
-    """An operation that requires data received an empty input."""

@@ -148,8 +148,8 @@ def parse_segment_csv(content, geometry: FrameGeometry, skip_bad_rows: bool = Fa
 
     ``content`` is a byte string, text string, or readable stream. Rows
     violating an invariant raise ValidationError with the 1-based data row
-    number, unless ``skip_bad_rows`` is set, in which case they are logged
-    and dropped.
+    number in its message and ``row``, unless ``skip_bad_rows`` is set, in
+    which case they are logged and dropped.
     """
     if isinstance(content, bytes):
         stream = io.StringIO(content.decode("utf-8"))
@@ -178,7 +178,7 @@ def parse_segment_csv(content, geometry: FrameGeometry, skip_bad_rows: bool = Fa
             if skip_bad_rows:
                 log.warning("dropping bad row %d: %s", row_num, exc)
                 continue
-            raise
+            raise ValidationError(f"row {row_num}: {exc}", field=exc.field, row=row_num) from exc
         records.append(record)
     return records
 

@@ -189,6 +189,15 @@ def _run_stage(manifest, stage, input_hash, outputs, compute):
     return True
 
 
+def parse_segment_file(path: Path, geometry, skip_bad_rows, stage):
+    """Parse one segment CSV; a bad file raises StageError naming it."""
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            return parse_segment_csv(fh, geometry, skip_bad_rows=skip_bad_rows)
+    except CrowdSeriesError as exc:
+        raise StageError(stage, exc, input_file=path.name) from exc
+
+
 def build_series(config: PipelineConfig):
     """Parse all segment files and aggregate both interval series."""
     segments = discover_segments(config.input_dir)
@@ -201,13 +210,7 @@ def build_series(config: PipelineConfig):
 
     def load(item):
         ts, path = item
-        try:
-            with path.open("r", encoding="utf-8") as fh:
-                records = parse_segment_csv(
-                    fh, config.geometry, skip_bad_rows=config.skip_bad_rows
-                )
-        except CrowdSeriesError as exc:
-            raise StageError("series", exc, input_file=path.name) from exc
+        records = parse_segment_file(path, config.geometry, config.skip_bad_rows, "series")
         return ts, filter_by_class(records, config.allowed_classes)
 
     items = sorted(segments.items())
@@ -271,10 +274,8 @@ def detect_stage(series, decomp, output_dir, *, alpha, max_anomalies, config_ech
         or detect.EsdConfig.default_for(len(series), alpha).max_anomalies,
         alpha=alpha,
     )
-    points = detect.seasonal_esd(decomp, collectives, esd_config, series=series)
-    report = detect.build_report(
-        series.kind, series, spec, collectives, points, config_echo=config_echo
-    )
+    points = detect.seasonal_esd(decomp, collectives, esd_config)
+    report = detect.build_report(series, spec, collectives, points, config_echo=config_echo)
     path = _artifact(output_dir, "report", series.kind, ".json")
     storage.write_report(report, path)
     return path, report
@@ -368,7 +369,10 @@ def run_pipeline(config: PipelineConfig, emit_plots: bool = False):
 
 
 def emit_plot_data(report, decomp, series, output_dir):
-    """Plot-ready CSVs: threshold bands, flagged residuals, panel data."""
+    """Plot-ready CSVs: threshold bands and flagged residuals.
+
+    The decomposition panel is ``decomposition_{kind}.csv`` itself.
+    """
     out = Path(output_dir)
     fmt = storage._fmt
     kind = report["series_kind"]
@@ -394,11 +398,3 @@ def emit_plot_data(report, decomp, series, output_dir):
             f"{int(i in flagged)},{rank}"
         )
     (out / f"plot_residual_{kind}.csv").write_text("\n".join(lines) + "\n")
-
-    lines = ["timestamp,observed,trend,seasonal,residual"]
-    for i in range(len(series)):
-        lines.append(
-            f"{format_timestamp(series.timestamp(i))},{fmt(series.values[i])},"
-            f"{fmt(decomp.trend[i])},{fmt(decomp.seasonal[i])},{fmt(decomp.residual[i])}"
-        )
-    (out / f"plot_decomposition_{kind}.csv").write_text("\n".join(lines) + "\n")

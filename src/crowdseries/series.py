@@ -15,7 +15,7 @@ stored saturation series byte-identical to earlier releases.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -65,32 +65,11 @@ class IntervalSeries:
     def timestamp(self, i: int) -> datetime:
         return self.start + i * self.step
 
-    def timestamps(self):
-        return [self.timestamp(i) for i in range(len(self.values))]
-
     def index_of(self, ts: datetime) -> int:
         delta = ts - self.start
         if delta % self.step != timedelta(0):
             raise AlignmentError(f"{ts} not aligned to {self.step} grid")
         return delta // self.step
-
-
-@dataclass
-class Heatmap:
-    """Per-interval occupancy accumulator.
-
-    ``grid`` holds occupied-frame counts per cell before normalize(), and
-    values in [0, 255] afterwards.
-    """
-
-    grid: np.ndarray
-    frames: int
-    normalized: bool = field(default=False)
-
-    def normalize(self) -> "Heatmap":
-        if self.normalized:
-            return self
-        return Heatmap(self.grid * (255.0 / self.frames), self.frames, normalized=True)
 
 
 def per_frame_counts(records):
@@ -127,14 +106,15 @@ def count_series(records, window, step=STEP_15_MIN) -> IntervalSeries:
     return IntervalSeries(start, step, values, KIND_COUNT, gaps=gaps)
 
 
-def accumulate_heatmap(records, geometry: FrameGeometry, frames: int) -> Heatmap:
-    """Accumulate one interval's segmentation masks into an occupancy map.
+def accumulate_heatmap(records, geometry: FrameGeometry, frames: int) -> np.ndarray:
+    """Count, per cell, the frames of one interval that occupy it.
 
-    Masks of the same frame are unioned first, so a cell can contribute at
-    most once per frame and a cell occupied in every frame saturates to 255
-    after normalization. Each mask touches the map only inside its own
-    bounding box; ``seen`` marks the cells the current frame has already
-    counted and is cleared box by box before the next frame.
+    Returns the float64 ``raw`` grid of the frame's shape. Masks of the same
+    frame are unioned first, so a cell can contribute at most once per
+    frame and a cell occupied in every frame reaches ``frames``. Each mask
+    touches the map only inside its own bounding box; ``seen`` marks the
+    cells the current frame has already counted and is cleared box by box
+    before the next frame.
     """
     if frames <= 0:
         raise ValidationError("frames must be positive", field="frames")
@@ -156,13 +136,12 @@ def accumulate_heatmap(records, geometry: FrameGeometry, frames: int) -> Heatmap
             boxes.append(box)
         for box in boxes:
             seen[box] = False
-    return Heatmap(raw, frames)
+    return raw
 
 
-def saturation_value(heatmap: Heatmap, geometry: FrameGeometry) -> float:
-    """Sum of the normalized map over its theoretical maximum w*h*255."""
-    normalized = heatmap.normalize()
-    return float(normalized.grid.sum() / (geometry.width * geometry.height * 255.0))
+def saturation_value(raw, frames: int, geometry: FrameGeometry) -> float:
+    """Sum of the map normalized to [0, 255] over its maximum w*h*255."""
+    return float((raw * (255.0 / frames)).sum() / (geometry.width * geometry.height * 255.0))
 
 
 def nominal_frames(step: timedelta, fps: float) -> int:
@@ -190,7 +169,7 @@ def heatmap_series(
         if not records:
             gaps.append(i)
             continue
-        heatmap = accumulate_heatmap(records, geometry, frames)
-        values[i] = saturation_value(heatmap, geometry)
+        raw = accumulate_heatmap(records, geometry, frames)
+        values[i] = saturation_value(raw, frames, geometry)
     return IntervalSeries(start, step, values, KIND_SATURATION, gaps=tuple(gaps))
 

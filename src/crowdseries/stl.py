@@ -10,7 +10,7 @@ trend + seasonal + residual reconstructs the input exactly.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,11 +62,6 @@ class StlDecomposition:
     trend: np.ndarray
     seasonal: np.ndarray
     residual: np.ndarray
-    config: StlConfig = field(repr=False, default=None)
-
-    @property
-    def observed(self):
-        return self.trend + self.seasonal + self.residual
 
 
 def _moving_average(values, width):
@@ -178,7 +173,7 @@ def stl_decompose_values(y, config: StlConfig) -> StlDecomposition:
                     np.ones(n) if scale == 0 else _bisquare(residual / scale)
                 )
     residual = y - trend - seasonal
-    return StlDecomposition(trend, seasonal, residual, config)
+    return StlDecomposition(trend, seasonal, residual)
 
 
 def stl_decompose(series: IntervalSeries, config: StlConfig) -> StlDecomposition:

@@ -105,7 +105,7 @@ def test_criterion_4_esd_correctness():
         oracle = (54 - i) * t_quantile / math.sqrt(
             (54 - i - 1 + t_quantile**2) * (54 - i + 1)
         )
-        assert rosner_critical_value(54, i, 0.05, True) == pytest.approx(
+        assert rosner_critical_value(54, i, 0.05) == pytest.approx(
             oracle, abs=1e-6
         )
 
@@ -206,7 +206,7 @@ def test_criterion_7_series_aggregation_oracle(tmp_path):
                 frame_counts[r.timestamp] = frame_counts.get(r.timestamp, 0) + 1
             assert series.values[i] == (max(frame_counts.values()) if frame_counts else 0)
 
-            heatmap = accumulate_heatmap(records, geometry, frames)
+            accumulated = accumulate_heatmap(records, geometry, frames)
             # brute-force accumulation with the per-cell polygon scan
             raw = np.zeros((geometry.height, geometry.width))
             by_frame = {}
@@ -224,11 +224,11 @@ def test_criterion_7_series_aggregation_oracle(tmp_path):
                     )
                     union |= cells.astype(bool)
                 raw += union
-            np.testing.assert_array_equal(heatmap.grid, raw)
+            np.testing.assert_array_equal(accumulated, raw)
             expected = raw.sum() * (255.0 / frames) / (
                 geometry.width * geometry.height * 255.0
             )
-            assert saturation_value(heatmap, geometry) == expected
+            assert saturation_value(accumulated, frames, geometry) == expected
             checked += 1
 
     # full-coverage fixture saturates to exactly 1.0
@@ -244,8 +244,8 @@ def test_criterion_7_series_aggregation_oracle(tmp_path):
         )
         for f in range(frames)
     ]
-    h = accumulate_heatmap(records, geometry, frames)
-    assert saturation_value(h, geometry) == 1.0
+    full = accumulate_heatmap(records, geometry, frames)
+    assert saturation_value(full, frames, geometry) == 1.0
     report(f"7 PASS: {checked} intervals across 50 fixture dirs match brute force exactly")
 
 

@@ -22,7 +22,7 @@ from crowdseries.augment import (
     sample_gumbel,
     sample_laplace,
 )
-from crowdseries.errors import ConfigurationError, EmptyInputError
+from crowdseries.errors import ConfigurationError, InsufficientDataError
 from crowdseries.series import STEP_15_MIN, IntervalSeries
 
 MONDAY = utc(2023, 9, 4)  # weekday 0, 00:00
@@ -57,7 +57,7 @@ class TestPartition:
 
     def test_empty_series_rejected(self):
         s = count_series_of([])
-        with pytest.raises(EmptyInputError):
+        with pytest.raises(InsufficientDataError):
             partition_for_stats(s)
 
 
@@ -194,12 +194,6 @@ class TestExtendBackward:
         stats = grouped_stats(partition_for_stats(s, seed=3))
         extended = extend_backward(s, stats, weeks=2, seed=3)
         assert (extended.values >= 0).all() and (extended.values <= 1).all()
-
-    def test_family_kind_mismatch(self):
-        s = count_series_of(np.arange(10))
-        stats = grouped_stats(partition_for_stats(s, seed=0))
-        with pytest.raises(ConfigurationError):
-            extend_backward(s, stats, family=LAPLACE)
 
     def test_deterministic_under_seed(self):
         s = count_series_of(np.arange(100) % 4)

@@ -7,7 +7,7 @@ from click.testing import CliRunner
 
 from conftest import utc
 from crowdseries.cli import main
-from crowdseries.ingest import FrameGeometry
+from crowdseries.ingest import CSV_COLUMNS, FrameGeometry
 from crowdseries.storage import read_report, read_series
 from crowdseries.synth import SyntheticScenario, generate_fixture
 
@@ -54,6 +54,23 @@ def test_ingest_validation_error_exit_2(runner, tmp_path):
     (seg / "20230904_0000.csv").write_text("wrong,header\n")
     result = runner.invoke(main, ["ingest", "--input", str(seg)])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("subcommand", ["ingest", "series"])
+def test_bad_row_names_file_and_row(runner, tmp_path, subcommand):
+    seg = tmp_path / "segments"
+    seg.mkdir()
+    good = '2023-09-04T00:00:00,0,person,0.5,0,0,2,2,"[(0,0),(2,0),(2,2)]"'
+    (seg / "20230904_0000.csv").write_text(
+        f"{','.join(CSV_COLUMNS)}\n{good}\n2023-09-04T00:00:00,0,person,0.5,0,0\n"
+    )
+    options = ["--input", str(seg), "--geometry", "16x16@1"]
+    if subcommand == "series":
+        options += ["--output", str(tmp_path / "out")]
+    result = runner.invoke(main, [subcommand] + options)
+    assert result.exit_code == 2, result.output
+    assert "20230904_0000.csv" in result.stderr
+    assert "row 2: expected 9 fields, got 6" in result.stderr
 
 
 def test_series_subcommand(runner, segments_dir, tmp_path):
@@ -139,8 +156,21 @@ def test_run_full_pipeline(runner, segments_dir, tmp_path):
         ],
     )
     assert result.exit_code == 0, result.output
-    assert (out / "report_count.json").exists()
-    assert (out / "plot_threshold_saturation.csv").exists()
+    written = {p.name for p in out.iterdir()}
+    expected = {"manifest.json"}
+    for kind in ("count", "saturation"):
+        expected |= {
+            f"series_{kind}.csv",
+            f"series_{kind}.csv.meta",
+            f"grouped_stats_{kind}.csv",
+            f"augmented_{kind}.csv",
+            f"augmented_{kind}.csv.meta",
+            f"decomposition_{kind}.csv",
+            f"report_{kind}.json",
+            f"plot_threshold_{kind}.csv",
+            f"plot_residual_{kind}.csv",
+        }
+    assert written == expected
 
 
 def test_run_with_config_file(runner, segments_dir, tmp_path):
@@ -269,7 +299,7 @@ def test_plot_data_subcommand(runner, segments_dir, tmp_path):
     assert result.exit_code == 0, result.output
     assert (plots / "plot_threshold_count.csv").exists()
     paths = sorted(plots.glob("plot_*.csv"))
-    assert len(paths) == 3
+    assert len(paths) == 2
     for path in paths:
         for line in path.read_text().splitlines()[1:]:
             for field in line.split(",")[1:]:

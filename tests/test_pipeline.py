@@ -243,7 +243,7 @@ def test_plot_data_without_anomalies(tmp_path):
     n = 40
     series = IntervalSeries(MONDAY, STEP_15_MIN, np.full(n, 2.0), "count")
     decomp = StlDecomposition(np.full(n, 2.0), np.zeros(n), np.zeros(n))
-    report = build_report("count", series, compute_threshold(series), [], [])
+    report = build_report(series, compute_threshold(series), [], [])
     emit_plot_data(report, decomp, series, tmp_path)
     lines = (tmp_path / "plot_residual_count.csv").read_text().splitlines()
     assert all(line.split(",")[2] == "0" for line in lines[1:])

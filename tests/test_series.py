@@ -10,7 +10,6 @@ from crowdseries.errors import AlignmentError, ValidationError
 from crowdseries.ingest import FrameGeometry, MaskGeometry
 from crowdseries.series import (
     STEP_15_MIN,
-    Heatmap,
     accumulate_heatmap,
     count_series,
     heatmap_series,
@@ -97,14 +96,14 @@ class TestHeatmap:
         for f in range(frames):
             r = make_record(T0 + timedelta(seconds=f))
             records.append(type(r)(r.timestamp, 0, "person", 0.9, (0, 0, 16, 16), full))
-        h = accumulate_heatmap(records, small_geometry, frames).normalize()
-        assert (h.grid == 255).all()
-        assert saturation_value(h, small_geometry) == 1.0
+        raw = accumulate_heatmap(records, small_geometry, frames)
+        assert (raw * (255.0 / frames) == 255).all()
+        assert saturation_value(raw, frames, small_geometry) == 1.0
 
     def test_no_records_all_zero(self, small_geometry):
-        h = accumulate_heatmap([], small_geometry, 900)
-        assert not h.grid.any()
-        assert saturation_value(h, small_geometry) == 0.0
+        raw = accumulate_heatmap([], small_geometry, 900)
+        assert not raw.any()
+        assert saturation_value(raw, 900, small_geometry) == 0.0
 
     def test_half_coverage_half_frames(self):
         # mask over the left half of an 8x8 frame in 2 of 4 frames -> 127.5
@@ -114,17 +113,17 @@ class TestHeatmap:
         for f in range(2):
             r = make_record(T0 + timedelta(seconds=f), geometry=geo)
             records.append(type(r)(r.timestamp, 0, "person", 0.9, (0, 0, 4, 7), half))
-        h = accumulate_heatmap(records, geo, 4).normalize()
+        normalized = accumulate_heatmap(records, geo, 4) * (255.0 / 4)
         covered = brute_force_rasterize(half.polygon, 8, 8).astype(bool)
-        assert (h.grid[covered] == 127.5).all()
-        assert (h.grid[~covered] == 0).all()
+        assert (normalized[covered] == 127.5).all()
+        assert (normalized[~covered] == 0).all()
 
     def test_same_frame_overlap_counts_once(self, small_geometry):
         # two identical masks in one frame must not exceed one frame's worth
         r1 = make_record(T0, 0)
         r2 = make_record(T0, 0)
-        h = accumulate_heatmap([r1, r2], small_geometry, 10)
-        assert h.grid.max() == 1
+        raw = accumulate_heatmap([r1, r2], small_geometry, 10)
+        assert raw.max() == 1
 
     def test_additivity_of_raw_accumulation(self, small_geometry):
         rng = np.random.default_rng(1)
@@ -135,13 +134,13 @@ class TestHeatmap:
         whole = accumulate_heatmap(records, small_geometry, 60)
         part_a = accumulate_heatmap(records[:11], small_geometry, 60)
         part_b = accumulate_heatmap(records[11:], small_geometry, 60)
-        np.testing.assert_array_equal(whole.grid, part_a.grid + part_b.grid)
+        np.testing.assert_array_equal(whole, part_a + part_b)
 
     def test_monotone_in_added_mask(self, small_geometry):
         records = [make_record(T0, 0)]
-        before = saturation_value(accumulate_heatmap(records, small_geometry, 10), small_geometry)
+        before = saturation_value(accumulate_heatmap(records, small_geometry, 10), 10, small_geometry)
         records.append(make_record(T0 + timedelta(seconds=1), 1))
-        after = saturation_value(accumulate_heatmap(records, small_geometry, 10), small_geometry)
+        after = saturation_value(accumulate_heatmap(records, small_geometry, 10), 10, small_geometry)
         assert after >= before
 
     def test_frames_must_be_positive(self, small_geometry):
@@ -150,15 +149,15 @@ class TestHeatmap:
 
 
 class TestSaturationValue:
+    # at 255 frames the scale 255 / frames is 1, so ``raw`` is the
+    # normalized map itself
     def test_all_255(self, small_geometry):
-        h = Heatmap(np.full((16, 16), 255.0), 900, normalized=True)
-        assert saturation_value(h, small_geometry) == 1.0
+        assert saturation_value(np.full((16, 16), 255.0), 255, small_geometry) == 1.0
 
     def test_half_cells_at_255(self, small_geometry):
-        grid = np.zeros((16, 16))
-        grid[:8] = 255.0
-        h = Heatmap(grid, 900, normalized=True)
-        assert saturation_value(h, small_geometry) == 0.5
+        raw = np.zeros((16, 16))
+        raw[:8] = 255.0
+        assert saturation_value(raw, 255, small_geometry) == 0.5
 
     def test_sums_the_scaled_grid_at_900_frames(self, small_geometry):
         # Saturation sums raw * (255 / frames) over the grid. At 900 frames
@@ -170,14 +169,13 @@ class TestSaturationValue:
         records = [
             make_record(T0 + timedelta(seconds=f), b) for b in range(4) for f in range(b + 1)
         ]
-        heatmap = accumulate_heatmap(records, small_geometry, frames)
-        raw = heatmap.grid
+        raw = accumulate_heatmap(records, small_geometry, frames)
         scale = 255.0 / frames
         denominator = small_geometry.width * small_geometry.height * 255.0
         assert (raw * scale).sum() != raw.sum() * scale
         expected = (raw * scale).sum() / denominator
         assert expected != raw.sum() * scale / denominator
-        assert saturation_value(heatmap, small_geometry) == expected
+        assert saturation_value(raw, frames, small_geometry) == expected
         s = heatmap_series({T0: records}, (T0, T0 + STEP_15_MIN), small_geometry)
         assert s.values[0] == expected
 
