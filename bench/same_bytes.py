@@ -10,8 +10,8 @@ the package from PARENT_SRC and once with the one from ``src/``, as
 ``perfbench/run.py`` does: the workload's augment weeks, pipeline seed 12
 and ``workers`` = nproc. For ``append-one`` each side does a warm run, then
 the extra segment is appended and the pipeline runs again on the warm
-output directory. Every artifact but ``manifest.json`` (which holds absolute
-paths) is compared byte for byte. The files that differ are listed, and the
+output directory. Every artifact but ``manifest.json`` (older trees key it
+by absolute path) is compared byte for byte. The files that differ are listed, and the
 exit status is 1 if any does. The work goes under ``.bench_build/``.
 """
 

@@ -1,7 +1,6 @@
 """Crowd-flow interval series construction, augmentation and anomaly detection."""
 
 from .augment import (
-    DistributionSpec,
     GroupedStats,
     GroupKey,
     extend_backward,

@@ -16,14 +16,9 @@ from datetime import datetime
 import numpy as np
 
 from .errors import ConfigurationError, InsufficientDataError, ValidationError
-from .series import KIND_COUNT, KIND_SATURATION, IntervalSeries
-
-GUMBEL = "gumbel"
-LAPLACE = "laplace"
+from .series import KIND_COUNT, STEP_15_MIN, IntervalSeries
 
 SLOTS_PER_WEEK = 7 * 24 * 4  # 672 fifteen-minute slots
-
-FAMILY_FOR_KIND = {KIND_COUNT: GUMBEL, KIND_SATURATION: LAPLACE}
 
 
 @dataclass(frozen=True)
@@ -45,19 +40,6 @@ class GroupKey:
         ]
 
 
-@dataclass(frozen=True)
-class DistributionSpec:
-    family: str
-    mu: float
-    beta: float
-
-    def __post_init__(self):
-        if self.family not in (GUMBEL, LAPLACE):
-            raise ConfigurationError(f"unknown family {self.family!r}")
-        if self.beta < 0:
-            raise ValidationError("beta must be >= 0", field="beta")
-
-
 @dataclass
 class GroupedStats:
     """median/IQR per weekly slot; complete over all 672 keys."""
@@ -68,10 +50,8 @@ class GroupedStats:
         missing = [k for k in GroupKey.all_keys() if k not in self.table]
         if missing:
             raise ValidationError(f"{len(missing)} group keys missing", field="table")
-
-    def spec_for(self, key: GroupKey, family: str) -> DistributionSpec:
-        median, iqr = self.table[key]
-        return DistributionSpec(family, median, iqr / 2.0)
+        if any(iqr < 0 for _, iqr in self.table.values()):
+            raise ValidationError("IQR must be >= 0", field="table")
 
 
 @dataclass
@@ -141,55 +121,32 @@ def laplace_ppf(u: float, mu: float, beta: float) -> float:
     return mu - beta * math.copysign(1.0, half) * math.log(1.0 - 2.0 * abs(half))
 
 
-def sample_gumbel(spec: DistributionSpec, rng) -> float:
-    if spec.family != GUMBEL:
-        raise ConfigurationError(f"expected gumbel spec, got {spec.family}")
-    if spec.beta == 0:
-        return spec.mu
-    return gumbel_ppf(rng.uniform(), spec.mu, spec.beta)
-
-
-def sample_laplace(spec: DistributionSpec, rng) -> float:
-    if spec.family != LAPLACE:
-        raise ConfigurationError(f"expected laplace spec, got {spec.family}")
-    if spec.beta == 0:
-        return spec.mu
-    return laplace_ppf(rng.uniform(), spec.mu, spec.beta)
-
-
-_SAMPLERS = {GUMBEL: sample_gumbel, LAPLACE: sample_laplace}
-
-
 def extend_backward(
     series: IntervalSeries, stats: GroupedStats, weeks=8, seed=0
 ) -> IntervalSeries:
     """Prepend ``weeks`` weeks of synthetic history; the tail is untouched.
 
-    Samples come from the family of the series kind (FAMILY_FOR_KIND).
-    Count values are rounded to the nearest integer and clamped at 0;
-    saturation values are clamped to [0, 1].
+    Count series draw from the Gumbel, saturation series from the Laplace
+    inverse CDF, one uniform per point whose slot has a positive IQR; a
+    slot with zero IQR yields its median. Count values are rounded to the
+    nearest integer and clamped at 0; saturation values are clamped to [0, 1].
     """
     if weeks < 1:
         raise ConfigurationError("weeks must be >= 1")
-    family = FAMILY_FOR_KIND[series.kind]
-    sampler = _SAMPLERS[family]
+    ppf = gumbel_ppf if series.kind == KIND_COUNT else laplace_ppf
     n_synth = weeks * SLOTS_PER_WEEK
     rng = np.random.default_rng(seed)
-    new_start = series.start - n_synth * series.step
+    new_start = series.start - n_synth * STEP_15_MIN
     synth = np.empty(n_synth)
     for i in range(n_synth):
-        ts = new_start + i * series.step
-        spec = stats.spec_for(GroupKey.of(ts), family)
-        synth[i] = sampler(spec, rng) if spec.beta > 0 else spec.mu
+        median, iqr = stats.table[GroupKey.of(new_start + i * STEP_15_MIN)]
+        beta = iqr / 2.0
+        synth[i] = ppf(rng.uniform(), median, beta) if beta > 0 else median
     if series.kind == KIND_COUNT:
         synth = np.maximum(0, np.round(synth))
     else:
         synth = np.clip(synth, 0.0, 1.0)
     gaps = tuple(i + n_synth for i in series.gaps)
     return IntervalSeries(
-        new_start,
-        series.step,
-        np.concatenate([synth, series.values]),
-        series.kind,
-        gaps=gaps,
+        new_start, np.concatenate([synth, series.values]), series.kind, gaps=gaps
     )

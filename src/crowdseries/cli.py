@@ -128,8 +128,6 @@ def ingest(input_dir, geometry, classes, skip_bad_rows):
     """Parse and validate segment CSVs; print per-file record counts."""
     geo = _parse_geometry(geometry)
     segments = pipeline.discover_segments(Path(input_dir))
-    if not segments:
-        raise InsufficientDataError(f"no segment files in {input_dir}")
     total = 0
     for ts, path in sorted(segments.items()):
         records = pipeline.parse_segment_file(path, geo, skip_bad_rows, "ingest")

@@ -12,12 +12,12 @@ import json
 import logging
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 
 from . import augment as aug
 from . import detect, storage
-from .errors import ConfigurationError, CrowdSeriesError, InsufficientDataError
+from .errors import ConfigurationError, CrowdSeriesError, DegenerateMaskError, InsufficientDataError
 from .ingest import FrameGeometry, filter_by_class, format_timestamp, parse_segment_csv
 from .series import (
     KIND_COUNT,
@@ -51,7 +51,6 @@ class PipelineConfig:
     geometry: FrameGeometry = field(
         default_factory=lambda: FrameGeometry(width=1280, height=720, fps=1.0)
     )
-    step: timedelta = STEP_15_MIN
     allowed_classes: tuple = ("person",)
     augment_weeks: int = 8
     augment_fraction: float = 0.5
@@ -65,6 +64,13 @@ class PipelineConfig:
     def __post_init__(self):
         self.input_dir = Path(self.input_dir)
         self.output_dir = Path(self.output_dir)
+        if self.workers < 1:
+            raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
+        if not 0 < self.augment_fraction <= 1:
+            raise ConfigurationError(f"augment_fraction {self.augment_fraction} outside (0, 1]")
+        unknown = sorted(set(self.stl) - set(KINDS))
+        if unknown:
+            raise ConfigurationError(f"stl: unknown series kind(s) {unknown}")
         for kind in KINDS:
             self.stl.setdefault(kind, StlConfig())
 
@@ -78,21 +84,17 @@ class PipelineConfig:
         if not isinstance(raw, dict):
             raise ConfigurationError(f"{path}: expected a JSON object")
         geometry = raw.pop("geometry", None)
-        stl_raw = raw.pop("stl", {})
-        step_seconds = raw.pop("step_seconds", None)
-        try:  # an unknown or missing key, or a value of the wrong type
+        try:  # an unknown or missing key, a value of the wrong type or range
+            # (a non-object "stl" raises AttributeError on .items())
             if "allowed_classes" in raw:
                 raw["allowed_classes"] = tuple(raw["allowed_classes"])
-            config = cls(**raw)
             if geometry is not None:
-                config.geometry = FrameGeometry(**geometry)
-            if step_seconds is not None:
-                config.step = timedelta(seconds=step_seconds)
-            for kind, params in stl_raw.items():
-                config.stl[kind] = StlConfig(**params)
-        except TypeError as exc:
+                raw["geometry"] = FrameGeometry(**geometry)
+            if "stl" in raw:
+                raw["stl"] = {kind: StlConfig(**p) for kind, p in raw["stl"].items()}
+            return cls(**raw)
+        except (TypeError, AttributeError, ConfigurationError) as exc:
             raise ConfigurationError(f"{path}: {exc}") from exc
-        return config
 
     def echo(self) -> dict:
         return {
@@ -102,7 +104,7 @@ class PipelineConfig:
                 "height": self.geometry.height,
                 "fps": self.geometry.fps,
             },
-            "step_seconds": self.step.total_seconds(),
+            "step_seconds": STEP_15_MIN.total_seconds(),
             "allowed_classes": sorted(self.allowed_classes),
             "augment_weeks": self.augment_weeks,
             "augment_fraction": self.augment_fraction,
@@ -113,7 +115,7 @@ class PipelineConfig:
 
 
 def discover_segments(input_dir: Path):
-    """Map interval-start timestamps to segment files, from file names."""
+    """Map interval-start timestamps to segment files, from file names; none is an error."""
     segments = {}
     for path in sorted(Path(input_dir).glob("*.csv")):
         try:
@@ -124,6 +126,8 @@ def discover_segments(input_dir: Path):
             log.warning("ignoring non-segment file %s", path.name)
             continue
         segments[ts] = path
+    if not segments:
+        raise InsufficientDataError(f"no segment files in {input_dir} to build a series from")
     return segments
 
 
@@ -132,9 +136,13 @@ def _sha256_file(path: Path) -> str:
 
 
 class _Manifest:
-    """Per-stage input/output hashes; drives stage skipping on re-runs."""
+    """Per-stage input/output hashes; drives stage skipping on re-runs.
+
+    Outputs are keyed by file name, so a moved output directory stays current.
+    """
 
     def __init__(self, output_dir: Path):
+        self.dir = output_dir
         self.path = output_dir / "manifest.json"
         self.data = {}
         if self.path.exists():
@@ -148,10 +156,10 @@ class _Manifest:
         if not entry or entry.get("input_hash") != input_hash:
             return False
         recorded = entry.get("outputs", {})
-        if set(recorded) != {str(p) for p in outputs}:
+        if set(recorded) != {Path(p).name for p in outputs}:
             return False
         for name, digest in recorded.items():
-            p = Path(name)
+            p = self.dir / name
             if not p.exists() or _sha256_file(p) != digest:
                 return False
         return True
@@ -159,7 +167,7 @@ class _Manifest:
     def record(self, stage, input_hash, outputs):
         self.data[stage] = {
             "input_hash": input_hash,
-            "outputs": {str(p): _sha256_file(Path(p)) for p in outputs},
+            "outputs": {Path(p).name: _sha256_file(Path(p)) for p in outputs},
         }
         self.path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
 
@@ -201,12 +209,8 @@ def parse_segment_file(path: Path, geometry, skip_bad_rows, stage):
 def build_series(config: PipelineConfig):
     """Parse all segment files and aggregate both interval series."""
     segments = discover_segments(config.input_dir)
-    if not segments:
-        raise InsufficientDataError(
-            f"stage 'series': no segment files in {config.input_dir}"
-        )
     starts = sorted(segments)
-    window = (starts[0], starts[-1] + config.step)
+    window = (starts[0], starts[-1] + STEP_15_MIN)
 
     def load(item):
         ts, path = item
@@ -222,8 +226,11 @@ def build_series(config: PipelineConfig):
 
     interval_records = {ts: recs for ts, recs in parsed}
     all_records = [r for _, recs in parsed for r in recs]
-    counts = count_series(all_records, window, config.step)
-    saturation = heatmap_series(interval_records, window, config.geometry, config.step)
+    counts = count_series(all_records, window)
+    try:
+        saturation = heatmap_series(interval_records, window, config.geometry)
+    except DegenerateMaskError as exc:
+        raise StageError("series", exc, input_file=segments[exc.interval].name) from exc
     return {KIND_COUNT: counts, KIND_SATURATION: saturation}
 
 
@@ -287,10 +294,6 @@ def run_pipeline(config: PipelineConfig, emit_plots: bool = False):
     out.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(out)
     segments = discover_segments(config.input_dir)
-    if not segments:
-        raise InsufficientDataError(
-            f"stage 'series': no segment files in {config.input_dir}"
-        )
     segment_hash = _hash_inputs(
         [config.echo()] + [f"{p.name}:{_sha256_file(p)}" for p in sorted(segments.values())]
     )

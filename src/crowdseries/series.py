@@ -20,7 +20,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .errors import AlignmentError, ValidationError
+from .errors import AlignmentError, DegenerateMaskError, ValidationError
 from .ingest import FrameGeometry, rasterize_mask
 
 STEP_15_MIN = timedelta(minutes=15)
@@ -31,13 +31,12 @@ KIND_SATURATION = "saturation"
 
 @dataclass
 class IntervalSeries:
-    """Regularly spaced series; t_i = start + i * step, no gaps in the grid.
+    """Series on the 15-minute grid; t_i = start + i * STEP_15_MIN, no gaps in the grid.
 
     Intervals with no data are zero-filled and listed in ``gaps``.
     """
 
     start: datetime
-    step: timedelta
     values: np.ndarray
     kind: str
     gaps: tuple = ()
@@ -63,13 +62,13 @@ class IntervalSeries:
         return len(self.values)
 
     def timestamp(self, i: int) -> datetime:
-        return self.start + i * self.step
+        return self.start + i * STEP_15_MIN
 
     def index_of(self, ts: datetime) -> int:
         delta = ts - self.start
-        if delta % self.step != timedelta(0):
-            raise AlignmentError(f"{ts} not aligned to {self.step} grid")
-        return delta // self.step
+        if delta % STEP_15_MIN != timedelta(0):
+            raise AlignmentError(f"{ts} not aligned to {STEP_15_MIN} grid")
+        return delta // STEP_15_MIN
 
 
 def per_frame_counts(records):
@@ -77,33 +76,33 @@ def per_frame_counts(records):
     return dict(Counter(r.timestamp for r in records))
 
 
-def _check_window(window, step):
+def _check_window(window):
     start, end = window
-    if (end - start) % step != timedelta(0) or end <= start:
-        raise AlignmentError(f"window {window} not aligned to step {step}")
+    if (end - start) % STEP_15_MIN != timedelta(0) or end <= start:
+        raise AlignmentError(f"window {window} not aligned to step {STEP_15_MIN}")
 
 
-def count_series(records, window, step=STEP_15_MIN) -> IntervalSeries:
+def count_series(records, window) -> IntervalSeries:
     """Max per-frame detection count in each interval of the window.
 
     The maximum (rather than mean or median) absorbs frames where the
     detector missed people. Intervals without detections get 0 and a gap
     flag.
     """
-    _check_window(window, step)
+    _check_window(window)
     start, end = window
-    n = (end - start) // step
+    n = (end - start) // STEP_15_MIN
     frame_counts = per_frame_counts(records)
     values = np.zeros(n)
     seen = np.zeros(n, dtype=bool)
     for ts, count in frame_counts.items():
         if ts < start or ts >= end:
             continue
-        i = (ts - start) // step
+        i = (ts - start) // STEP_15_MIN
         values[i] = max(values[i], count)
         seen[i] = True
     gaps = tuple(int(i) for i in np.nonzero(~seen)[0])
-    return IntervalSeries(start, step, values, KIND_COUNT, gaps=gaps)
+    return IntervalSeries(start, values, KIND_COUNT, gaps=gaps)
 
 
 def accumulate_heatmap(records, geometry: FrameGeometry, frames: int) -> np.ndarray:
@@ -144,32 +143,36 @@ def saturation_value(raw, frames: int, geometry: FrameGeometry) -> float:
     return float((raw * (255.0 / frames)).sum() / (geometry.width * geometry.height * 255.0))
 
 
-def nominal_frames(step: timedelta, fps: float) -> int:
+def nominal_frames(fps: float) -> int:
     # dropouts do not reduce the normalization denominator
-    return max(1, round(step.total_seconds() * fps))
+    return max(1, round(STEP_15_MIN.total_seconds() * fps))
 
 
-def heatmap_series(
-    interval_records, window, geometry: FrameGeometry, step=STEP_15_MIN
-) -> IntervalSeries:
+def heatmap_series(interval_records, window, geometry: FrameGeometry) -> IntervalSeries:
     """Saturation series over the window.
 
     ``interval_records`` maps interval-start timestamps to the records of
     that interval; missing intervals are zero-filled and flagged as gaps.
+    A mask that covers no cell raises DegenerateMaskError with its
+    interval start in ``interval``.
     """
-    _check_window(window, step)
+    _check_window(window)
     start, end = window
-    n = (end - start) // step
-    frames = nominal_frames(step, geometry.fps)
+    n = (end - start) // STEP_15_MIN
+    frames = nominal_frames(geometry.fps)
     values = np.zeros(n)
     gaps = []
     for i in range(n):
-        ts = start + i * step
+        ts = start + i * STEP_15_MIN
         records = interval_records.get(ts)
         if not records:
             gaps.append(i)
             continue
-        raw = accumulate_heatmap(records, geometry, frames)
+        try:
+            raw = accumulate_heatmap(records, geometry, frames)
+        except DegenerateMaskError as exc:
+            exc.interval = ts
+            raise
         values[i] = saturation_value(raw, frames, geometry)
-    return IntervalSeries(start, step, values, KIND_SATURATION, gaps=tuple(gaps))
+    return IntervalSeries(start, values, KIND_SATURATION, gaps=tuple(gaps))
 

@@ -7,7 +7,7 @@ stage stays diffable and inspectable.
 from __future__ import annotations
 
 import json
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +15,10 @@ import numpy as np
 from .augment import GroupedStats, GroupKey
 from .errors import SchemaError
 from .ingest import FrameGeometry, format_timestamp
-from .series import IntervalSeries
+from .series import STEP_15_MIN, IntervalSeries
 from .stl import StlDecomposition
+
+STEP_SECONDS = str(int(STEP_15_MIN.total_seconds()))  # the only grid a .meta may name
 
 
 def _fmt(value: float) -> str:
@@ -34,7 +36,7 @@ def write_series(series: IntervalSeries, path, geometry: FrameGeometry | None = 
     meta = {
         "kind": series.kind,
         "start": format_timestamp(series.start),
-        "step_seconds": str(int(series.step.total_seconds())),
+        "step_seconds": STEP_SECONDS,
         "gaps": ",".join(str(i) for i in series.gaps),
     }
     if geometry is not None:
@@ -60,6 +62,11 @@ def _read_meta(path) -> dict:
 def read_series(path) -> IntervalSeries:
     path = Path(path)
     meta = _read_meta(path)
+    if meta.get("step_seconds") != STEP_SECONDS:
+        raise SchemaError(
+            f"{path}.meta: step_seconds={meta.get('step_seconds')}, "
+            f"but the interval grid is fixed at {STEP_SECONDS}"
+        )
     lines = path.read_text().splitlines()
     if not lines or lines[0] != "timestamp,value":
         raise SchemaError(f"{path}: expected 'timestamp,value' header")
@@ -70,7 +77,6 @@ def read_series(path) -> IntervalSeries:
     gaps = tuple(int(i) for i in meta["gaps"].split(",") if i != "")
     return IntervalSeries(
         start=datetime.fromisoformat(meta["start"]).astimezone(timezone.utc),
-        step=timedelta(seconds=int(meta["step_seconds"])),
         values=np.array(values),
         kind=meta["kind"],
         gaps=gaps,

@@ -10,7 +10,7 @@ alongside, so tests can recount the emitted files against them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta
+from datetime import datetime
 from pathlib import Path
 
 import numpy as np
@@ -38,7 +38,6 @@ class SyntheticScenario:
     geometry: FrameGeometry = field(
         default_factory=lambda: FrameGeometry(width=64, height=36, fps=1.0)
     )
-    step: timedelta = STEP_15_MIN
 
     def __post_init__(self):
         if self.weeks < 1:
@@ -65,15 +64,15 @@ class SyntheticScenario:
 
     @property
     def end(self) -> datetime:
-        return self.start + self.n_intervals * self.step
+        return self.start + self.n_intervals * STEP_15_MIN
 
     def intended_counts(self) -> np.ndarray:
         """Per-interval counts the emitted files will realize."""
         rng = None if self.noise_seed is None else np.random.default_rng(self.noise_seed)
         counts = np.empty(self.n_intervals, dtype=int)
         for i in range(self.n_intervals):
-            ts = self.start + i * self.step
-            slot = (ts - self.start) // self.step % SLOTS_PER_DAY
+            ts = self.start + i * STEP_15_MIN
+            slot = i % SLOTS_PER_DAY
             base = float(self.daily_profile[slot])
             count = int(rng.poisson(base)) if rng is not None else int(round(base))
             for p_start, p_end, multiplier in self.planted_plateaus:
@@ -110,7 +109,7 @@ def generate_fixture(scenario: SyntheticScenario, output_dir) -> np.ndarray:
     output_dir.mkdir(parents=True, exist_ok=True)
     counts = scenario.intended_counts()
     for i, count in enumerate(counts):
-        ts = scenario.start + i * scenario.step
+        ts = scenario.start + i * STEP_15_MIN
         records = []
         for k in range(count):
             mask = _box_mask(k, scenario.geometry)

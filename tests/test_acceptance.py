@@ -14,14 +14,11 @@ from scipy import stats as scipy_stats
 
 from conftest import brute_force_loess, brute_force_rasterize, embed, make_record, utc
 from crowdseries.augment import (
-    GUMBEL,
-    LAPLACE,
-    DistributionSpec,
     extend_backward,
     grouped_stats,
+    gumbel_ppf,
+    laplace_ppf,
     partition_for_stats,
-    sample_gumbel,
-    sample_laplace,
 )
 from crowdseries.detect import EsdConfig, esd_test, rosner_critical_value
 from crowdseries.ingest import (
@@ -125,9 +122,7 @@ def test_criterion_5_sampler_statistics():
     n = 100_000
     mu, beta = 3.0, 2.0
     rng = np.random.default_rng(105)
-    gumbel = np.array(
-        [sample_gumbel(DistributionSpec(GUMBEL, mu, beta), rng) for _ in range(n)]
-    )
+    gumbel = np.array([gumbel_ppf(rng.uniform(), mu, beta) for _ in range(n)])
     expected_median = mu - beta * math.log(math.log(2))
     se_median = beta / (math.log(2) * math.sqrt(n))
     median_err = abs(np.median(gumbel) - expected_median)
@@ -137,9 +132,7 @@ def test_criterion_5_sampler_statistics():
     assert ks_g.pvalue > 0.01
 
     rng = np.random.default_rng(106)
-    laplace = np.array(
-        [sample_laplace(DistributionSpec(LAPLACE, mu, beta), rng) for _ in range(n)]
-    )
+    laplace = np.array([laplace_ppf(rng.uniform(), mu, beta) for _ in range(n)])
     q1, q3 = np.percentile(laplace, [25, 75])
     expected_iqr = 2 * beta * math.log(2)
     se_iqr = math.sqrt(6) * beta / math.sqrt(n)
@@ -156,9 +149,7 @@ def test_criterion_5_sampler_statistics():
 
 def test_criterion_6_augmentation_contract():
     rng = np.random.default_rng(107)
-    observed = IntervalSeries(
-        MONDAY, STEP_15_MIN, np.round(rng.uniform(0, 9, 2016)), "count"
-    )
+    observed = IntervalSeries(MONDAY, np.round(rng.uniform(0, 9, 2016)), "count")
     stats = grouped_stats(partition_for_stats(observed, seed=7))
     extended = extend_backward(observed, stats, weeks=8, seed=7)
     assert len(extended) - len(observed) == 5376
@@ -167,7 +158,7 @@ def test_criterion_6_augmentation_contract():
     assert (synth >= 0).all()
     np.testing.assert_array_equal(synth, np.round(synth))
 
-    sat = IntervalSeries(MONDAY, STEP_15_MIN, rng.uniform(0, 0.02, 2016), "saturation")
+    sat = IntervalSeries(MONDAY, rng.uniform(0, 0.02, 2016), "saturation")
     sat_ext = extend_backward(
         sat, grouped_stats(partition_for_stats(sat, seed=7)), weeks=8, seed=7
     )
@@ -296,8 +287,8 @@ def test_criterion_8_end_to_end_planted_recovery(twelve_week_run):
     for run in reports["count"]["collective"]:
         detected |= set(range(run["start_index"], run["end_index"] + 1))
     planted = {
-        augmented.index_of(plateau_start + i * augmented.step)
-        for i in range((plateau_end - plateau_start) // augmented.step)
+        augmented.index_of(plateau_start + i * STEP_15_MIN)
+        for i in range((plateau_end - plateau_start) // STEP_15_MIN)
     }
     jaccard = len(detected & planted) / len(detected | planted)
     assert jaccard >= 0.7

@@ -7,11 +7,8 @@ from scipy import stats as scipy_stats
 
 from conftest import utc
 from crowdseries.augment import (
-    FAMILY_FOR_KIND,
-    GUMBEL,
-    LAPLACE,
     SLOTS_PER_WEEK,
-    DistributionSpec,
+    GroupedStats,
     GroupKey,
     SeriesSample,
     extend_backward,
@@ -19,17 +16,15 @@ from crowdseries.augment import (
     gumbel_ppf,
     laplace_ppf,
     partition_for_stats,
-    sample_gumbel,
-    sample_laplace,
 )
-from crowdseries.errors import ConfigurationError, InsufficientDataError
-from crowdseries.series import STEP_15_MIN, IntervalSeries
+from crowdseries.errors import InsufficientDataError, ValidationError
+from crowdseries.series import IntervalSeries
 
 MONDAY = utc(2023, 9, 4)  # weekday 0, 00:00
 
 
 def count_series_of(values, start=MONDAY):
-    return IntervalSeries(start, STEP_15_MIN, np.asarray(values, dtype=float), "count")
+    return IntervalSeries(start, np.asarray(values, dtype=float), "count")
 
 
 class TestPartition:
@@ -94,6 +89,12 @@ class TestGroupedStats:
         sample = SeriesSample([MONDAY], np.array([1.0]))
         assert len(grouped_stats(sample).table) == 672
 
+    def test_negative_iqr_rejected(self):
+        table = {k: (1.0, 0.0) for k in GroupKey.all_keys()}
+        table[GroupKey(2, 8, 45)] = (1.0, -0.5)
+        with pytest.raises(ValidationError):
+            GroupedStats(table)
+
 
 class TestSamplers:
     def test_gumbel_fixed_u_at_mu(self):
@@ -106,8 +107,7 @@ class TestSamplers:
     def test_gumbel_empirical_median(self):
         mu, beta, n = 5.0, 2.0, 100_000
         rng = np.random.default_rng(11)
-        spec = DistributionSpec(GUMBEL, mu, beta)
-        samples = np.array([sample_gumbel(spec, rng) for _ in range(n)])
+        samples = np.array([gumbel_ppf(rng.uniform(), mu, beta) for _ in range(n)])
         expected = mu - beta * math.log(math.log(2))
         se = beta / (math.log(2) * math.sqrt(n))
         assert abs(np.median(samples) - expected) < 3 * se
@@ -116,8 +116,7 @@ class TestSamplers:
         rng = np.random.default_rng(12)
         variances = []
         for beta in (3.0, 2.0, 1.0, 0.5):
-            spec = DistributionSpec(GUMBEL, 0.0, beta)
-            samples = np.array([sample_gumbel(spec, rng) for _ in range(100_000)])
+            samples = np.array([gumbel_ppf(rng.uniform(), 0.0, beta) for _ in range(100_000)])
             variances.append(samples.var())
             # analytic variance is pi^2 beta^2 / 6
             assert samples.var() == pytest.approx(math.pi**2 * beta**2 / 6, rel=0.05)
@@ -126,8 +125,7 @@ class TestSamplers:
     def test_laplace_empirical_iqr(self):
         mu, beta, n = 1.0, 0.5, 100_000
         rng = np.random.default_rng(13)
-        spec = DistributionSpec(LAPLACE, mu, beta)
-        samples = np.array([sample_laplace(spec, rng) for _ in range(n)])
+        samples = np.array([laplace_ppf(rng.uniform(), mu, beta) for _ in range(n)])
         expected = 2 * beta * math.log(2)
         se = math.sqrt(6) * beta / math.sqrt(n)
         q1, q3 = np.percentile(samples, [25, 75])
@@ -136,27 +134,20 @@ class TestSamplers:
     def test_laplace_empirical_mean(self):
         mu, beta, n = -2.0, 1.5, 100_000
         rng = np.random.default_rng(14)
-        spec = DistributionSpec(LAPLACE, mu, beta)
-        samples = np.array([sample_laplace(spec, rng) for _ in range(n)])
+        samples = np.array([laplace_ppf(rng.uniform(), mu, beta) for _ in range(n)])
         se = math.sqrt(2) * beta / math.sqrt(n)  # Laplace SD is sqrt(2)*beta
         assert abs(samples.mean() - mu) < 3 * se
 
     def test_gumbel_ks_against_analytic_cdf(self):
         rng = np.random.default_rng(15)
-        spec = DistributionSpec(GUMBEL, 2.0, 1.5)
-        samples = [sample_gumbel(spec, rng) for _ in range(100_000)]
+        samples = [gumbel_ppf(rng.uniform(), 2.0, 1.5) for _ in range(100_000)]
         cdf = lambda x: np.exp(-np.exp(-(np.asarray(x) - 2.0) / 1.5))
         assert scipy_stats.kstest(samples, cdf).pvalue > 0.01
 
     def test_laplace_ks_against_analytic_cdf(self):
         rng = np.random.default_rng(16)
-        spec = DistributionSpec(LAPLACE, -1.0, 0.8)
-        samples = [sample_laplace(spec, rng) for _ in range(100_000)]
+        samples = [laplace_ppf(rng.uniform(), -1.0, 0.8) for _ in range(100_000)]
         assert scipy_stats.kstest(samples, scipy_stats.laplace(-1.0, 0.8).cdf).pvalue > 0.01
-
-    def test_family_mismatch(self):
-        with pytest.raises(ConfigurationError):
-            sample_gumbel(DistributionSpec(LAPLACE, 0, 1), np.random.default_rng(0))
 
 
 class TestExtendBackward:
@@ -190,7 +181,7 @@ class TestExtendBackward:
 
     def test_saturation_values_clamped(self):
         rng = np.random.default_rng(3)
-        s = IntervalSeries(MONDAY, STEP_15_MIN, rng.uniform(0, 0.01, 400), "saturation")
+        s = IntervalSeries(MONDAY, rng.uniform(0, 0.01, 400), "saturation")
         stats = grouped_stats(partition_for_stats(s, seed=3))
         extended = extend_backward(s, stats, weeks=2, seed=3)
         assert (extended.values >= 0).all() and (extended.values <= 1).all()
@@ -207,8 +198,6 @@ class TestExtendBackward:
         # analytic Gumbel median of that (mu, beta)
         mu, iqr = 50.0, 8.0
         table = {k: (mu, iqr) for k in GroupKey.all_keys()}
-        from crowdseries.augment import GroupedStats
-
         stats = GroupedStats(table)
         s = count_series_of(np.full(10, mu))
         extended = extend_backward(s, stats, weeks=8, seed=21)
@@ -221,5 +210,19 @@ class TestExtendBackward:
         )
 
     def test_default_family_follows_kind(self):
-        assert FAMILY_FOR_KIND["count"] == GUMBEL
-        assert FAMILY_FOR_KIND["saturation"] == LAPLACE
+        # count draws through the Gumbel, saturation through the Laplace
+        # inverse CDF: one uniform per synthetic point, in grid order
+        for kind, ppf, mu, iqr in (
+            ("count", gumbel_ppf, 50.0, 8.0),
+            ("saturation", laplace_ppf, 0.5, 0.2),
+        ):
+            stats = GroupedStats({k: (mu, iqr) for k in GroupKey.all_keys()})
+            s = IntervalSeries(MONDAY, np.full(10, mu), kind)
+            extended = extend_backward(s, stats, weeks=1, seed=4)
+            rng = np.random.default_rng(4)
+            draws = np.array([ppf(rng.uniform(), mu, iqr / 2) for _ in range(SLOTS_PER_WEEK)])
+            if kind == "count":
+                expected = np.maximum(0, np.round(draws))
+            else:
+                expected = np.clip(draws, 0.0, 1.0)
+            np.testing.assert_array_equal(extended.values[:SLOTS_PER_WEEK], expected)

@@ -73,6 +73,20 @@ def test_bad_row_names_file_and_row(runner, tmp_path, subcommand):
     assert "row 2: expected 9 fields, got 6" in result.stderr
 
 
+@pytest.mark.parametrize("subcommand", ["series", "run"])
+def test_degenerate_mask_names_file(runner, tmp_path, subcommand):
+    # the mask covers no cell centre; parsing accepts it, rasterizing does not
+    seg = tmp_path / "segments"
+    seg.mkdir()
+    row = '2023-09-04T00:00:00,0,person,0.5,0,0,1,1,"[(0.1,0.1),(0.2,0.1),(0.2,0.2)]"'
+    (seg / "20230904_0000.csv").write_text(f"{','.join(CSV_COLUMNS)}\n{row}\n")
+    options = ["--input", str(seg), "--output", str(tmp_path / "out"), "--geometry", "16x16@1"]
+    result = runner.invoke(main, [subcommand] + options)
+    assert result.exit_code == 2, result.output
+    assert "20230904_0000.csv" in result.stderr
+    assert "covers no cell" in result.stderr
+
+
 def test_series_subcommand(runner, segments_dir, tmp_path):
     out = tmp_path / "out"
     result = runner.invoke(
@@ -128,6 +142,21 @@ def test_stagewise_chain(runner, segments_dir, tmp_path):
             assert staged["config_echo"][key] == full["config_echo"][key]
         del staged["config_echo"], full["config_echo"]
         assert staged == full
+
+
+def test_augment_rejects_other_step(runner, segments_dir, tmp_path):
+    out = tmp_path / "out"
+    invoke = ["series", "--input", str(segments_dir), "--output", str(out)]
+    assert runner.invoke(main, invoke + ["--geometry", "16x16@1"]).exit_code == 0
+    meta = out / "series_count.csv.meta"
+    meta.write_text(meta.read_text().replace("step_seconds=900", "step_seconds=300"))
+    result = runner.invoke(
+        main,
+        ["augment", "--series", str(out / "series_count.csv"), "--output", str(out), "--seed", "1"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "series_count.csv.meta" in result.stderr
+    assert "step_seconds=300" in result.stderr
 
 
 def test_augment_requires_seed(runner, segments_dir, tmp_path):
@@ -196,9 +225,16 @@ def test_run_with_config_file(runner, segments_dir, tmp_path):
         ('{"input_dir": "in", "output_dir": "out", "bogus": 1}', []),
         ('{"input_dir": "in", ', []),
         ('{"input_dir": "in", "output_dir": "out", "geometry": {"w": 16}}', []),
+        ('{"input_dir": "in", "output_dir": "out", "stl": []}', []),
         (None, ["--geometry", "banana"]),
     ],
-    ids=["unknown-key", "malformed-json", "bad-geometry-key", "bad-geometry-option"],
+    ids=[
+        "unknown-key",
+        "malformed-json",
+        "bad-geometry-key",
+        "stl-not-object",
+        "bad-geometry-option",
+    ],
 )
 def test_run_misconfiguration_exit_2(runner, tmp_path, config, options):
     if config is None:
@@ -210,6 +246,28 @@ def test_run_misconfiguration_exit_2(runner, tmp_path, config, options):
     result = runner.invoke(main, ["run"] + options)
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "setting",
+    [
+        {"workers": 0},
+        {"augment_fraction": 0},
+        {"stl": {"cuont": {"period": 48}}},
+        {"step_seconds": 900},
+    ],
+    ids=["workers-0", "augment-fraction-0", "stl-kind-typo", "step-seconds"],
+)
+def test_run_rejects_config_before_any_stage(runner, segments_dir, tmp_path, setting):
+    out = tmp_path / "out"
+    config = {"input_dir": str(segments_dir), "output_dir": str(out), **setting}
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps(config))
+    result = runner.invoke(main, ["run", "--config", str(config_path)])
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith(f"error: {config_path}:")
+    assert next(iter(setting)) in result.stderr
+    assert not out.exists()
 
 
 def test_run_empty_input_exit_3(runner, tmp_path):

@@ -19,7 +19,7 @@ from crowdseries.detect import (
 )
 from crowdseries.errors import ConfigurationError, InsufficientDataError
 from crowdseries.ingest import format_timestamp
-from crowdseries.series import STEP_15_MIN, IntervalSeries
+from crowdseries.series import IntervalSeries
 from crowdseries.stl import StlConfig, StlDecomposition, stl_decompose_values
 
 
@@ -30,7 +30,7 @@ def rosner_lambda_oracle(n, i, alpha):
 
 
 def series_of(values, kind="count"):
-    return IntervalSeries(utc(2023, 9, 4), STEP_15_MIN, np.asarray(values, float), kind)
+    return IntervalSeries(utc(2023, 9, 4), np.asarray(values, float), kind)
 
 
 class TestThreshold:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import utc
-from crowdseries import storage
+from crowdseries import pipeline, storage
 from crowdseries.errors import InsufficientDataError
 from crowdseries.ingest import FrameGeometry
 from crowdseries.pipeline import (
@@ -17,6 +17,7 @@ from crowdseries.pipeline import (
     emit_plot_data,
     run_pipeline,
 )
+from crowdseries.series import STEP_15_MIN
 from crowdseries.storage import (
     read_decomposition,
     read_grouped_stats,
@@ -76,6 +77,19 @@ def test_empty_input_dir_raises_insufficient_data(tmp_path):
         run_pipeline(config)
 
 
+def test_moved_output_dir_skips_every_stage(fixture_dir, tmp_path, monkeypatch):
+    path, _ = fixture_dir
+    first = run_pipeline(make_config(path, tmp_path / "out"))
+    (tmp_path / "out").rename(tmp_path / "moved")
+
+    def recompute(*args, **kwargs):
+        raise AssertionError("a stage ran again after its output directory moved")
+
+    for stage in ("series_stage", "augment_stage", "decompose_stage", "detect_stage"):
+        monkeypatch.setattr(pipeline, stage, recompute)
+    assert run_pipeline(make_config(path, tmp_path / "moved")) == first
+
+
 def test_build_series_produces_both_kinds(fixture_dir, tmp_path):
     path, sc = fixture_dir
     built = build_series(make_config(path, tmp_path / "out"))
@@ -114,8 +128,8 @@ def test_run_pipeline_end_to_end(fixture_dir, tmp_path):
     for run in runs:
         detected |= set(range(run["start_index"], run["end_index"] + 1))
     planted = {
-        augmented.index_of(plateau_start + i * augmented.step)
-        for i in range((plateau_end - plateau_start) // augmented.step)
+        augmented.index_of(plateau_start + i * STEP_15_MIN)
+        for i in range((plateau_end - plateau_start) // STEP_15_MIN)
     }
     jaccard = len(detected & planted) / len(detected | planted)
     assert jaccard >= 0.7
@@ -237,11 +251,11 @@ def test_plot_data_cross_checks_report(fixture_dir, tmp_path):
 def test_plot_data_without_anomalies(tmp_path):
     # constant series: no collective runs, no point anomalies
     from crowdseries.detect import build_report, compute_threshold
-    from crowdseries.series import IntervalSeries, STEP_15_MIN
+    from crowdseries.series import IntervalSeries
     from crowdseries.stl import StlDecomposition
 
     n = 40
-    series = IntervalSeries(MONDAY, STEP_15_MIN, np.full(n, 2.0), "count")
+    series = IntervalSeries(MONDAY, np.full(n, 2.0), "count")
     decomp = StlDecomposition(np.full(n, 2.0), np.zeros(n), np.zeros(n))
     report = build_report(series, compute_threshold(series), [], [])
     emit_plot_data(report, decomp, series, tmp_path)

@@ -164,7 +164,7 @@ class TestSaturationValue:
         # the scale is not dyadic, so scaling the cell-count total instead
         # rounds differently; box b is occupied in b + 1 frames, which
         # makes the two differ, and the stored series must not change.
-        frames = nominal_frames(STEP_15_MIN, small_geometry.fps)
+        frames = nominal_frames(small_geometry.fps)
         assert frames == 900
         records = [
             make_record(T0 + timedelta(seconds=f), b) for b in range(4) for f in range(b + 1)

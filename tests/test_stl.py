@@ -3,7 +3,7 @@ import pytest
 
 from conftest import utc
 from crowdseries.errors import ConfigurationError, InsufficientDataError
-from crowdseries.series import STEP_15_MIN, IntervalSeries
+from crowdseries.series import IntervalSeries
 from crowdseries.stl import (
     StlConfig,
     default_trend_window,
@@ -95,7 +95,7 @@ class TestDecompose:
 
     def test_series_wrapper(self):
         _, _, y = planted(2 * 7 * PERIOD, seed=3)
-        series = IntervalSeries(utc(2023, 9, 4), STEP_15_MIN, np.maximum(0, np.round(y)), "count")
+        series = IntervalSeries(utc(2023, 9, 4), np.maximum(0, np.round(y)), "count")
         d = stl_decompose(series, StlConfig())
         np.testing.assert_allclose(
             d.trend + d.seasonal + d.residual, series.values, atol=1e-9
