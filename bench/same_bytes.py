@@ -10,9 +10,12 @@ the package from PARENT_SRC and once with the one from ``src/``, as
 ``perfbench/run.py`` does: the workload's augment weeks, pipeline seed 12
 and ``workers`` = nproc. For ``append-one`` each side does a warm run, then
 the extra segment is appended and the pipeline runs again on the warm
-output directory. Every artifact but ``manifest.json`` (older trees key it
-by absolute path) is compared byte for byte. The files that differ are listed, and the
-exit status is 1 if any does. The work goes under ``.bench_build/``.
+output directory. Every artifact is compared byte for byte except
+``manifest.json`` (older trees key it by absolute path) and
+``segment_cache.json`` (older trees do not write it, and it holds no result
+of its own: the series it feeds are compared). The files that differ are
+listed, and the exit status is 1 if any does. The work goes under
+``.bench_build/``.
 """
 
 from __future__ import annotations
@@ -65,10 +68,13 @@ def run_side(src, workload, fixture, out):
             appended.unlink()
 
 
+NOT_COMPARED = ("manifest.json", "segment_cache.json")
+
+
 def differing(a, b):
-    """Names of the artifacts, manifest.json aside, that differ or exist once."""
+    """Names of the compared artifacts that differ or exist once."""
     names = {p.name for p in a.iterdir()} | {p.name for p in b.iterdir()}
-    names.discard("manifest.json")
+    names.difference_update(NOT_COMPARED)
     return sorted(
         name
         for name in names
@@ -100,7 +106,7 @@ def main(argv=None):
                 outputs[side] = work / side
                 run_side(src, workload, fixture, outputs[side])
             diff = differing(outputs["parent"], outputs["change"])
-            count = len(list(outputs["change"].iterdir())) - 1
+            count = sum(p.name not in NOT_COMPARED for p in outputs["change"].iterdir())
             print(f"{name}: {len(diff)} of {count} artifact(s) differ")
             for artifact in diff:
                 print(f"  {artifact}")

@@ -73,6 +73,8 @@ def _config_from_options(config_path, overrides) -> pipeline.PipelineConfig:
         config.geometry = _parse_geometry(overrides["geometry"])
     if overrides.get("classes"):
         config.allowed_classes = tuple(overrides["classes"].split(","))
+    if overrides.get("skip_bad_rows"):
+        config.skip_bad_rows = True
     config.input_dir = Path(config.input_dir)
     config.output_dir = Path(config.output_dir)
     return config
@@ -92,6 +94,9 @@ pipeline_options = [
     click.option("--classes", help="Comma-separated allowed class names."),
     click.option("--alpha", type=float),
     click.option("--max-anoms", "max_anoms", type=int),
+    click.option(
+        "--skip-bad-rows", is_flag=True, help="Drop rows that fail validation, with a warning."
+    ),
 ]
 
 

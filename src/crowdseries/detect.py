@@ -9,6 +9,7 @@ ranked by residual, descending.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -114,8 +115,13 @@ def collective_anomalies(trend, spec: ThresholdSpec):
     return runs
 
 
+@functools.lru_cache(maxsize=1 << 14)
 def rosner_critical_value(n: int, i: int, alpha: float) -> float:
-    """Two-sided lambda_i of the generalized ESD test at step i (1-based)."""
+    """Two-sided lambda_i of the generalized ESD test at step i (1-based).
+
+    Cached: both series kinds of a run share ``n`` and ``alpha``, so the
+    second kind's steps reuse the first kind's Student-t quantiles.
+    """
     df = n - i - 1
     tail = alpha / (n - i + 1) / 2.0
     t = t_ppf(1.0 - tail, df)

@@ -21,8 +21,6 @@ class SchemaError(CrowdSeriesError):
 class DegenerateMaskError(CrowdSeriesError):
     """Polygon mask rasterizes to an empty pixel set."""
 
-    interval = None  # start of the interval holding the mask, once known
-
 
 class AlignmentError(CrowdSeriesError):
     """Window boundaries are not aligned to the interval step."""

@@ -2,7 +2,9 @@
 
 Every stage persists plain-text artifacts into the output directory and
 records input hashes in a manifest; a re-run skips stages whose inputs are
-unchanged and whose outputs are still present and hash-valid.
+unchanged and whose outputs are still present and hash-valid. Within the
+series stage, each segment file's reduction is cached by content hash in
+``segment_cache.json``, so appending one segment parses only that file.
 """
 
 from __future__ import annotations
@@ -10,9 +12,10 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-from concurrent.futures import ThreadPoolExecutor
+import os
+from collections import Counter
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 from pathlib import Path
 
 from . import augment as aug
@@ -23,14 +26,22 @@ from .series import (
     KIND_COUNT,
     KIND_SATURATION,
     STEP_15_MIN,
+    HeatmapGrids,
     count_series,
     heatmap_series,
+    interval_saturation,
+    per_frame_counts,
 )
 from .stl import StlConfig, stl_decompose
 
 log = logging.getLogger(__name__)
 
 KINDS = (KIND_COUNT, KIND_SATURATION)
+
+SEGMENT_CACHE = "segment_cache.json"
+_SEGMENT_CACHE_FORMAT = 1
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
 
 
 class StageError(CrowdSeriesError):
@@ -59,7 +70,7 @@ class PipelineConfig:
     esd_alpha: float = 0.05
     esd_max_anomalies: int | None = None  # None: 5% of the series length
     skip_bad_rows: bool = False
-    workers: int = 1
+    workers: int = 1  # accepted and validated; segment files are reduced in one thread
 
     def __post_init__(self):
         self.input_dir = Path(self.input_dir)
@@ -206,42 +217,125 @@ def parse_segment_file(path: Path, geometry, skip_bad_rows, stage):
         raise StageError(stage, exc, input_file=path.name) from exc
 
 
-def build_series(config: PipelineConfig):
-    """Parse all segment files and aggregate both interval series."""
+class _SegmentCache:
+    """Per-file reductions, ``(saturation or None, {frame timestamp: count})``.
+
+    Kept in ``segment_cache.json`` and keyed by each file's SHA-256, under
+    one key for everything else a reduction depends on: the cache format,
+    the geometry, the allowed classes and ``skip_bad_rows``. A file with
+    another key, or one that is not valid JSON of the expected shape, is
+    ignored and rewritten. Frame timestamps are stored as integer
+    microseconds since the epoch.
+    """
+
+    def __init__(self, path: Path, config: PipelineConfig):
+        self.path = path
+        geometry = config.geometry
+        self.key = {
+            "format": _SEGMENT_CACHE_FORMAT,
+            "geometry": [geometry.width, geometry.height, geometry.fps],
+            "allowed_classes": sorted(config.allowed_classes),
+            "skip_bad_rows": config.skip_bad_rows,
+        }
+        self.stored = {}
+        try:
+            data = json.loads(path.read_text())
+            if data["key"] == self.key:
+                self.stored = dict(data["segments"])
+        except FileNotFoundError:
+            pass
+        except (ValueError, KeyError, TypeError) as exc:  # not JSON, or not the shape written
+            log.warning("ignoring unreadable %s: %s", path.name, exc)
+
+    def get(self, digest):
+        """The stored reduction of the file with ``digest``; None if absent or malformed."""
+        try:
+            saturation, frames = self.stored[digest]
+            return (
+                None if saturation is None else float(saturation),
+                {_EPOCH + us * _MICROSECOND: int(count) for us, count in frames},
+            )
+        except KeyError:
+            return None
+        except (ValueError, TypeError) as exc:
+            log.warning("ignoring malformed %s entry %s: %s", self.path.name, digest, exc)
+            return None
+
+    def write(self, reductions):
+        """Store ``reductions`` (digest -> reduction), and only those, atomically."""
+        segments = {
+            digest: [
+                saturation,
+                sorted([(ts - _EPOCH) // _MICROSECOND, n] for ts, n in counts.items()),
+            ]
+            for digest, (saturation, counts) in reductions.items()
+        }
+        text = json.dumps(
+            {"key": self.key, "segments": segments}, sort_keys=True, separators=(",", ":")
+        )
+        self.path.parent.mkdir(parents=True, exist_ok=True)
+        tmp = self.path.with_name(self.path.name + ".tmp")
+        tmp.write_text(text + "\n")
+        os.replace(tmp, self.path)
+
+
+def reduce_segment_file(path: Path, config: PipelineConfig, grids: HeatmapGrids):
+    """Parse one segment file into ``(saturation or None, {frame timestamp: count})``.
+
+    Only records of the allowed classes count. A file without any has no
+    saturation, which marks a gap. A bad file raises StageError naming it.
+    """
+    records = parse_segment_file(path, config.geometry, config.skip_bad_rows, "series")
+    kept = filter_by_class(records, config.allowed_classes)
+    try:
+        saturation = interval_saturation(kept, config.geometry, grids)
+    except DegenerateMaskError as exc:
+        raise StageError("series", exc, input_file=path.name) from exc
+    return saturation, per_frame_counts(kept)
+
+
+def build_series(config: PipelineConfig, digests=None):
+    """Reduce every segment file, reusing cached reductions, and aggregate both series.
+
+    ``digests`` maps segment file names to their SHA-256; a file it lacks
+    is hashed here. Per-frame counts are summed across files before the
+    per-interval maximum, so a frame named in two files counts once with
+    all its detections.
+    """
     segments = discover_segments(config.input_dir)
     starts = sorted(segments)
     window = (starts[0], starts[-1] + STEP_15_MIN)
-
-    def load(item):
-        ts, path = item
-        records = parse_segment_file(path, config.geometry, config.skip_bad_rows, "series")
-        return ts, filter_by_class(records, config.allowed_classes)
-
-    items = sorted(segments.items())
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            parsed = list(pool.map(load, items))
-    else:
-        parsed = [load(item) for item in items]
-
-    interval_records = {ts: recs for ts, recs in parsed}
-    all_records = [r for _, recs in parsed for r in recs]
-    counts = count_series(all_records, window)
-    try:
-        saturation = heatmap_series(interval_records, window, config.geometry)
-    except DegenerateMaskError as exc:
-        raise StageError("series", exc, input_file=segments[exc.interval].name) from exc
-    return {KIND_COUNT: counts, KIND_SATURATION: saturation}
+    digests = digests or {}
+    cache = _SegmentCache(config.output_dir / SEGMENT_CACHE, config)
+    grids = HeatmapGrids(config.geometry)
+    reductions = {}  # digest -> reduction, for this run's files
+    saturation = {}
+    frame_counts = Counter()
+    for ts in starts:
+        path = segments[ts]
+        digest = digests.get(path.name) or _sha256_file(path)
+        reduction = cache.get(digest) or reduce_segment_file(path, config, grids)
+        reductions[digest] = reduction
+        saturation[ts], counts = reduction
+        frame_counts.update(counts)
+    cache.write(reductions)
+    return {
+        KIND_COUNT: count_series(frame_counts, window),
+        KIND_SATURATION: heatmap_series(saturation, window),
+    }
 
 
 def _artifact(out, stem, kind, suffix=".csv") -> Path:
     return Path(out) / f"{stem}_{kind}{suffix}"
 
 
-def series_stage(config: PipelineConfig):
-    """Build and write both interval series; returns ``[(path, series)]`` per kind."""
+def series_stage(config: PipelineConfig, digests=None):
+    """Build and write both interval series; returns ``[(path, series)]`` per kind.
+
+    ``digests`` is as for ``build_series``.
+    """
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    built = build_series(config)
+    built = build_series(config, digests)
     written = []
     for kind in KINDS:
         path = _artifact(config.output_dir, "series", kind)
@@ -294,14 +388,17 @@ def run_pipeline(config: PipelineConfig, emit_plots: bool = False):
     out.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(out)
     segments = discover_segments(config.input_dir)
+    digests = {p.name: _sha256_file(p) for p in segments.values()}
     segment_hash = _hash_inputs(
-        [config.echo()] + [f"{p.name}:{_sha256_file(p)}" for p in sorted(segments.values())]
+        [config.echo()] + [f"{name}:{digest}" for name, digest in sorted(digests.items())]
     )
 
     series_files = {kind: _artifact(out, "series", kind) for kind in KINDS}
     series_outputs = [p for f in series_files.values() for p in (f, f.with_suffix(".csv.meta"))]
 
-    _run_stage(manifest, "series", segment_hash, series_outputs, lambda: series_stage(config))
+    _run_stage(
+        manifest, "series", segment_hash, series_outputs, lambda: series_stage(config, digests)
+    )
     series = {kind: storage.read_series(series_files[kind]) for kind in KINDS}
 
     analyzed_files = dict(series_files)

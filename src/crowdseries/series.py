@@ -3,6 +3,8 @@
 Two series are produced per input directory: the per-interval maximum of
 the per-frame people counts, and the heatmap saturation percentage (sum of
 the interval's normalized occupancy map over its theoretical maximum).
+Both are assembled from per-interval reductions, the per-frame counts and
+one saturation value, so each segment file can be reduced on its own.
 
 Masks are rasterized and accumulated inside their own bounding boxes; only
 the final saturation sum visits the whole frame. That sum is taken over the
@@ -20,7 +22,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 
-from .errors import AlignmentError, DegenerateMaskError, ValidationError
+from .errors import AlignmentError, ValidationError
 from .ingest import FrameGeometry, rasterize_mask
 
 STEP_15_MIN = timedelta(minutes=15)
@@ -82,17 +84,17 @@ def _check_window(window):
         raise AlignmentError(f"window {window} not aligned to step {STEP_15_MIN}")
 
 
-def count_series(records, window) -> IntervalSeries:
+def count_series(frame_counts, window) -> IntervalSeries:
     """Max per-frame detection count in each interval of the window.
 
-    The maximum (rather than mean or median) absorbs frames where the
-    detector missed people. Intervals without detections get 0 and a gap
-    flag.
+    ``frame_counts`` maps frame timestamps to their number of detections
+    (``per_frame_counts``); frames outside the window are ignored. The
+    maximum (rather than mean or median) absorbs frames where the detector
+    missed people. Intervals without detections get 0 and a gap flag.
     """
     _check_window(window)
     start, end = window
     n = (end - start) // STEP_15_MIN
-    frame_counts = per_frame_counts(records)
     values = np.zeros(n)
     seen = np.zeros(n, dtype=bool)
     for ts, count in frame_counts.items():
@@ -105,20 +107,41 @@ def count_series(records, window) -> IntervalSeries:
     return IntervalSeries(start, values, KIND_COUNT, gaps=gaps)
 
 
-def accumulate_heatmap(records, geometry: FrameGeometry, frames: int) -> np.ndarray:
+class HeatmapGrids:
+    """Frame-sized grids that one interval after another reuses.
+
+    ``raw`` holds the per-cell frame counts, ``seen`` the cells the current
+    frame has already counted, and ``scaled`` the normalized map whose sum
+    is the saturation. Reusing them spares a fresh frame-sized allocation,
+    and its page faults, per interval.
+    """
+
+    def __init__(self, geometry: FrameGeometry):
+        shape = (geometry.height, geometry.width)
+        self.raw = np.zeros(shape)
+        self.seen = np.zeros(shape, dtype=bool)
+        self.scaled = np.empty(shape)
+
+
+def accumulate_heatmap(
+    records, geometry: FrameGeometry, frames: int, grids: HeatmapGrids | None = None
+) -> np.ndarray:
     """Count, per cell, the frames of one interval that occupy it.
 
-    Returns the float64 ``raw`` grid of the frame's shape. Masks of the same
-    frame are unioned first, so a cell can contribute at most once per
-    frame and a cell occupied in every frame reaches ``frames``. Each mask
-    touches the map only inside its own bounding box; ``seen`` marks the
-    cells the current frame has already counted and is cleared box by box
-    before the next frame.
+    Returns the float64 ``raw`` grid of the frame's shape, ``grids.raw``
+    when ``grids`` is given. Masks of the same frame are unioned first, so
+    a cell can contribute at most once per frame and a cell occupied in
+    every frame reaches ``frames``. Each mask touches the map only inside
+    its own bounding box; ``seen`` marks the cells the current frame has
+    already counted and is cleared box by box before the next frame.
     """
     if frames <= 0:
         raise ValidationError("frames must be positive", field="frames")
-    raw = np.zeros((geometry.height, geometry.width), dtype=float)
-    seen = np.zeros(raw.shape, dtype=bool)
+    if grids is None:
+        grids = HeatmapGrids(geometry)
+    else:
+        grids.raw.fill(0.0)
+    raw, seen = grids.raw, grids.seen
     by_frame = defaultdict(list)
     for r in records:
         by_frame[r.timestamp].append(r)
@@ -138,9 +161,24 @@ def accumulate_heatmap(records, geometry: FrameGeometry, frames: int) -> np.ndar
     return raw
 
 
-def saturation_value(raw, frames: int, geometry: FrameGeometry) -> float:
-    """Sum of the map normalized to [0, 255] over its maximum w*h*255."""
-    return float((raw * (255.0 / frames)).sum() / (geometry.width * geometry.height * 255.0))
+def saturation_value(raw, frames: int, geometry: FrameGeometry, out=None) -> float:
+    """Sum of the map normalized to [0, 255] over its maximum w*h*255.
+
+    ``out``, a float64 grid of ``raw``'s shape, receives the normalized map.
+    """
+    scaled = np.multiply(raw, 255.0 / frames, out=out)
+    return float(scaled.sum() / (geometry.width * geometry.height * 255.0))
+
+
+def interval_saturation(records, geometry: FrameGeometry, grids: HeatmapGrids | None = None):
+    """Saturation of one interval's records; None, a gap, when there are none."""
+    if not records:
+        return None
+    frames = nominal_frames(geometry.fps)
+    grids = grids or HeatmapGrids(geometry)
+    return saturation_value(
+        accumulate_heatmap(records, geometry, frames, grids), frames, geometry, grids.scaled
+    )
 
 
 def nominal_frames(fps: float) -> int:
@@ -148,31 +186,22 @@ def nominal_frames(fps: float) -> int:
     return max(1, round(STEP_15_MIN.total_seconds() * fps))
 
 
-def heatmap_series(interval_records, window, geometry: FrameGeometry) -> IntervalSeries:
+def heatmap_series(saturation, window) -> IntervalSeries:
     """Saturation series over the window.
 
-    ``interval_records`` maps interval-start timestamps to the records of
-    that interval; missing intervals are zero-filled and flagged as gaps.
-    A mask that covers no cell raises DegenerateMaskError with its
-    interval start in ``interval``.
+    ``saturation`` maps interval-start timestamps to the interval's
+    saturation (``interval_saturation``); intervals it lacks or maps to
+    None are zero-filled and flagged as gaps.
     """
     _check_window(window)
     start, end = window
     n = (end - start) // STEP_15_MIN
-    frames = nominal_frames(geometry.fps)
     values = np.zeros(n)
     gaps = []
     for i in range(n):
-        ts = start + i * STEP_15_MIN
-        records = interval_records.get(ts)
-        if not records:
+        value = saturation.get(start + i * STEP_15_MIN)
+        if value is None:
             gaps.append(i)
-            continue
-        try:
-            raw = accumulate_heatmap(records, geometry, frames)
-        except DegenerateMaskError as exc:
-            exc.interval = ts
-            raise
-        values[i] = saturation_value(raw, frames, geometry)
+        else:
+            values[i] = value
     return IntervalSeries(start, values, KIND_SATURATION, gaps=tuple(gaps))
-

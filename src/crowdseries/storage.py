@@ -62,6 +62,9 @@ def _read_meta(path) -> dict:
 def read_series(path) -> IntervalSeries:
     path = Path(path)
     meta = _read_meta(path)
+    for key in ("start", "kind", "gaps"):
+        if key not in meta:
+            raise SchemaError(f"{path}.meta: missing key {key!r}")
     if meta.get("step_seconds") != STEP_SECONDS:
         raise SchemaError(
             f"{path}.meta: step_seconds={meta.get('step_seconds')}, "

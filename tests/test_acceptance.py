@@ -36,6 +36,7 @@ from crowdseries.series import (
     IntervalSeries,
     accumulate_heatmap,
     count_series,
+    per_frame_counts,
     saturation_value,
 )
 from crowdseries.stl import StlConfig, stl_decompose_values
@@ -190,7 +191,7 @@ def test_criterion_7_series_aggregation_oracle(tmp_path):
 
         window = (MONDAY, MONDAY + n_intervals * STEP_15_MIN)
         all_records = [r for recs in parsed for r in recs]
-        series = count_series(all_records, window)
+        series = count_series(per_frame_counts(all_records), window)
         for i, records in enumerate(parsed):
             frame_counts = {}
             for r in records:

@@ -73,6 +73,27 @@ def test_bad_row_names_file_and_row(runner, tmp_path, subcommand):
     assert "row 2: expected 9 fields, got 6" in result.stderr
 
 
+def test_series_skip_bad_rows_drops_the_row(runner, tmp_path):
+    seg = tmp_path / "segments"
+    seg.mkdir()
+    good = '2023-09-04T00:00:00,0,person,0.5,0,0,2,2,"[(0,0),(2,0),(2,2)]"'
+    (seg / "20230904_0000.csv").write_text(
+        f"{','.join(CSV_COLUMNS)}\n{good}\n2023-09-04T00:00:00,0,person,0.5,0,0\n"
+    )
+    out = tmp_path / "out"
+    options = ["series", "--input", str(seg), "--output", str(out), "--geometry", "16x16@1"]
+    result = runner.invoke(main, options + ["--skip-bad-rows"])
+    assert result.exit_code == 0, result.output
+    assert list(read_series(out / "series_count.csv").values) == [1.0]
+
+
+def test_run_accepts_skip_bad_rows(runner, segments_dir, tmp_path):
+    options = ["--input", str(segments_dir), "--output", str(tmp_path / "out")]
+    options += ["--geometry", "16x16@1", "--weeks", "2", "--skip-bad-rows"]
+    result = runner.invoke(main, ["run"] + options)
+    assert result.exit_code == 0, result.output
+
+
 @pytest.mark.parametrize("subcommand", ["series", "run"])
 def test_degenerate_mask_names_file(runner, tmp_path, subcommand):
     # the mask covers no cell centre; parsing accepts it, rasterizing does not
@@ -159,6 +180,23 @@ def test_augment_rejects_other_step(runner, segments_dir, tmp_path):
     assert "step_seconds=300" in result.stderr
 
 
+@pytest.mark.parametrize("key", ["start", "kind", "gaps"])
+def test_augment_names_missing_meta_key(runner, segments_dir, tmp_path, key):
+    out = tmp_path / "out"
+    invoke = ["series", "--input", str(segments_dir), "--output", str(out)]
+    assert runner.invoke(main, invoke + ["--geometry", "16x16@1"]).exit_code == 0
+    meta = out / "series_count.csv.meta"
+    lines = meta.read_text().splitlines(keepends=True)
+    meta.write_text("".join(line for line in lines if not line.startswith(f"{key}=")))
+    result = runner.invoke(
+        main,
+        ["augment", "--series", str(out / "series_count.csv"), "--output", str(out), "--seed", "1"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "series_count.csv.meta" in result.stderr
+    assert repr(key) in result.stderr
+
+
 def test_augment_requires_seed(runner, segments_dir, tmp_path):
     result = runner.invoke(
         main, ["augment", "--series", "x.csv", "--output", str(tmp_path)]
@@ -186,7 +224,7 @@ def test_run_full_pipeline(runner, segments_dir, tmp_path):
     )
     assert result.exit_code == 0, result.output
     written = {p.name for p in out.iterdir()}
-    expected = {"manifest.json"}
+    expected = {"manifest.json", "segment_cache.json"}
     for kind in ("count", "saturation"):
         expected |= {
             f"series_{kind}.csv",

@@ -1,21 +1,25 @@
 import errno
 import json
+import shutil
 from datetime import timedelta
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from conftest import utc
-from crowdseries import pipeline, storage
+from conftest import make_record, utc
+from crowdseries import detect, pipeline, storage
 from crowdseries.errors import InsufficientDataError
-from crowdseries.ingest import FrameGeometry
+from crowdseries.ingest import CSV_COLUMNS, FrameGeometry, serialize_records
 from crowdseries.pipeline import (
+    SEGMENT_CACHE,
     PipelineConfig,
+    StageError,
     build_series,
     discover_segments,
     emit_plot_data,
     run_pipeline,
+    series_stage,
 )
 from crowdseries.series import STEP_15_MIN
 from crowdseries.storage import (
@@ -280,3 +284,192 @@ def test_config_round_trip_from_json(tmp_path):
     assert config.augment_weeks == 3
     assert config.stl["count"].period == 48
     assert config.stl["saturation"].period == 96  # default preserved
+
+
+def test_rosner_critical_values_computed_once_per_step(fixture_dir, tmp_path, monkeypatch):
+    # both series kinds share n and alpha, so the second kind's Student-t
+    # quantiles come from the first kind's
+    path, _ = fixture_dir
+    steps, quantiles = [], []
+    cached = detect.rosner_critical_value
+    real_t_ppf = detect.t_ppf
+
+    def record_step(n, i, alpha):
+        steps.append((n, i, alpha))
+        return cached(n, i, alpha)
+
+    def count_t_ppf(p, df):
+        quantiles.append((p, df))
+        return real_t_ppf(p, df)
+
+    cached.cache_clear()
+    monkeypatch.setattr(detect, "rosner_critical_value", record_step)
+    monkeypatch.setattr(detect, "t_ppf", count_t_ppf)
+    run_pipeline(make_config(path, tmp_path / "out"))
+    assert len(steps) > len(set(steps)) > 0
+    assert len(quantiles) == len(set(steps))
+
+
+# --- the per-segment reduction cache ------------------------------------
+
+
+@pytest.fixture
+def segment_copy(fixture_dir, tmp_path):
+    """A private copy of the fixture's first week, and the segment after it."""
+    source, _ = fixture_dir
+    segments, held = tmp_path / "segments", tmp_path / "held"
+    segments.mkdir()
+    held.mkdir()
+    files = sorted(source.glob("*.csv"))
+    for path in files[:672]:
+        shutil.copy(path, segments)
+    return segments, Path(shutil.copy(files[672], held))
+
+
+def count_parses(monkeypatch):
+    calls = []
+    real = pipeline.parse_segment_csv
+
+    def parse(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "parse_segment_csv", parse)
+    return calls
+
+
+def next_segment(segments):
+    last = max(discover_segments(segments))
+    return segments / (last + STEP_15_MIN).strftime("%Y%m%d_%H%M.csv")
+
+
+def cached_digests(out):
+    return set(json.loads((out / SEGMENT_CACHE).read_text())["segments"])
+
+
+def test_warm_run_after_append_matches_cold_run(segment_copy, tmp_path):
+    segments, held = segment_copy
+    warm, cold = tmp_path / "warm", tmp_path / "cold"
+    run_pipeline(make_config(segments, warm))
+    shutil.copy(held, segments)
+    run_pipeline(make_config(segments, warm))
+    run_pipeline(make_config(segments, cold))
+    names = sorted(p.name for p in cold.iterdir())
+    assert sorted(p.name for p in warm.iterdir()) == names
+    assert SEGMENT_CACHE in names
+    for name in names:
+        assert (warm / name).read_bytes() == (cold / name).read_bytes(), name
+
+
+def test_append_parses_only_the_new_segment(segment_copy, tmp_path, monkeypatch):
+    segments, held = segment_copy
+    config = make_config(segments, tmp_path / "out")
+    series_stage(config)
+    calls = count_parses(monkeypatch)
+    shutil.copy(held, segments)
+    series_stage(config)
+    assert len(calls) == 1
+
+    # a header-only segment, then a second one with the same bytes
+    header_only = ",".join(CSV_COLUMNS) + "\n"
+    next_segment(segments).write_text(header_only)
+    series_stage(config)
+    assert len(calls) == 2
+    gap = next_segment(segments)
+    gap.write_text(header_only)
+    written = dict((p.name, s) for p, s in series_stage(config))
+    assert len(calls) == 2
+    saturation = written["series_saturation.csv"]
+    assert saturation.gaps[-2:] == (len(saturation) - 2, len(saturation) - 1)
+
+
+def test_edited_segment_changes_its_interval(segment_copy, tmp_path):
+    segments, _ = segment_copy
+    config = make_config(segments, tmp_path / "out")
+    before = build_series(config)
+    ts, path = sorted(discover_segments(segments).items())[5]
+    path.write_text(serialize_records([make_record(ts, k, GEO) for k in range(7)]))
+    after = build_series(config)
+    assert before["count"].values[5] != 7
+    assert after["count"].values[5] == 7
+    assert after["saturation"].values[5] == pytest.approx(7 * 4 / (16 * 16 * 900), rel=1e-12)
+    for kind in ("count", "saturation"):
+        changed = np.nonzero(before[kind].values != after[kind].values)[0]
+        assert list(changed) == [5]
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"geometry": FrameGeometry(16, 16, 2.0)},
+        {"allowed_classes": ("person", "car")},
+        {"skip_bad_rows": True},
+    ],
+    ids=["geometry", "allowed-classes", "skip-bad-rows"],
+)
+def test_reduction_settings_reparse_every_file(segment_copy, tmp_path, monkeypatch, change):
+    segments, _ = segment_copy
+    out = tmp_path / "out"
+    series_stage(make_config(segments, out))
+    calls = count_parses(monkeypatch)
+    series_stage(make_config(segments, out))
+    assert calls == []
+    series_stage(make_config(segments, out, **change))
+    assert len(calls) == len(list(segments.glob("*.csv")))
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: text[: len(text) // 2],
+        lambda text: "\x00\xff garbage",
+        lambda text: "[]",
+        lambda text: '{"key": {}, "segments": []}',
+        lambda text: text.replace('"segments":{"', '"segments":{"0":[],"', 1).replace(
+            "]]]", "]],0]", 1
+        ),
+    ],
+    ids=["truncated", "garbage", "not-an-object", "wrong-key", "malformed-entries"],
+)
+def test_damaged_cache_is_ignored_and_rewritten(segment_copy, tmp_path, monkeypatch, damage):
+    segments, _ = segment_copy
+    out = tmp_path / "out"
+    config = make_config(segments, out)
+    reference = build_series(config)
+    cache = out / SEGMENT_CACHE
+    good = cache.read_bytes()
+    damaged = damage(good.decode())
+    assert damaged.encode() != good
+    cache.write_text(damaged)
+    built = build_series(config)
+    assert cache.read_bytes() == good
+    for kind in ("count", "saturation"):
+        np.testing.assert_array_equal(built[kind].values, reference[kind].values)
+        assert built[kind].gaps == reference[kind].gaps
+
+
+def test_deleted_segment_leaves_the_cache(segment_copy, tmp_path):
+    segments, _ = segment_copy
+    out = tmp_path / "out"
+    config = make_config(segments, out)
+    build_series(config)
+    victim = sorted(segments.glob("*.csv"))[100]
+    digest = pipeline._sha256_file(victim)
+    assert digest in cached_digests(out)
+    victim.unlink()
+    build_series(config)
+    remaining = {pipeline._sha256_file(p) for p in segments.glob("*.csv")}
+    assert cached_digests(out) == remaining
+    assert digest not in remaining
+
+
+def test_degenerate_mask_on_cache_miss_names_the_file(segment_copy, tmp_path):
+    segments, _ = segment_copy
+    config = make_config(segments, tmp_path / "out")
+    build_series(config)
+    bad = next_segment(segments)
+    row = f"{bad.stem[:4]}-{bad.stem[4:6]}-{bad.stem[6:8]}T00:00:00,0,person,0.5,0,0,1,1,"
+    bad.write_text(f'{",".join(CSV_COLUMNS)}\n{row}"[(0.1,0.1),(0.2,0.1),(0.2,0.2)]"\n')
+    with pytest.raises(StageError, match=bad.name) as info:
+        build_series(config)
+    assert "covers no cell" in str(info.value)

@@ -10,9 +10,11 @@ from crowdseries.errors import AlignmentError, ValidationError
 from crowdseries.ingest import FrameGeometry, MaskGeometry
 from crowdseries.series import (
     STEP_15_MIN,
+    HeatmapGrids,
     accumulate_heatmap,
     count_series,
     heatmap_series,
+    interval_saturation,
     nominal_frames,
     per_frame_counts,
     saturation_value,
@@ -45,17 +47,17 @@ class TestCountSeries:
         for f, n in enumerate([1, 4, 2]):
             ts = T0 + timedelta(seconds=f)
             records += [make_record(ts, k) for k in range(n)]
-        s = count_series(records, (T0, T0 + STEP_15_MIN))
+        s = count_series(per_frame_counts(records), (T0, T0 + STEP_15_MIN))
         assert list(s.values) == [4]
 
     def test_empty_interval_is_zero_and_gap(self):
-        s = count_series([], (T0, T0 + 2 * STEP_15_MIN))
+        s = count_series({}, (T0, T0 + 2 * STEP_15_MIN))
         assert list(s.values) == [0, 0]
         assert s.gaps == (0, 1)
 
     def test_unaligned_window(self):
         with pytest.raises(AlignmentError):
-            count_series([], (T0, T0 + timedelta(minutes=20)))
+            count_series({}, (T0, T0 + timedelta(minutes=20)))
 
     @settings(max_examples=30, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 3599), st.integers(0, 5)), max_size=40))
@@ -64,7 +66,7 @@ class TestCountSeries:
         for offset, k in placements:
             records.append(make_record(T0 + timedelta(seconds=offset), k))
         window = (T0, T0 + 4 * STEP_15_MIN)
-        s = count_series(records, window)
+        s = count_series(per_frame_counts(records), window)
         # brute force: per-frame recount, then interval max
         for i in range(4):
             lo = T0 + i * STEP_15_MIN
@@ -82,10 +84,12 @@ class TestCountSeries:
             for o, k in zip(rng.integers(0, 1800, 30), rng.integers(0, 8, 30))
         ]
         window = (T0, T0 + 2 * STEP_15_MIN)
-        base = count_series(records, window).values
+        base = count_series(per_frame_counts(records), window).values
         for _ in range(5):
             rng.shuffle(records)
-            np.testing.assert_array_equal(count_series(records, window).values, base)
+            np.testing.assert_array_equal(
+                count_series(per_frame_counts(records), window).values, base
+            )
 
 
 class TestHeatmap:
@@ -176,8 +180,13 @@ class TestSaturationValue:
         expected = (raw * scale).sum() / denominator
         assert expected != raw.sum() * scale / denominator
         assert saturation_value(raw, frames, small_geometry) == expected
-        s = heatmap_series({T0: records}, (T0, T0 + STEP_15_MIN), small_geometry)
+        assert interval_saturation(records, small_geometry) == expected
+        s = heatmap_series({T0: expected}, (T0, T0 + STEP_15_MIN))
         assert s.values[0] == expected
+
+
+def saturation_by_interval(interval_records, geometry):
+    return {ts: interval_saturation(r, geometry) for ts, r in interval_records.items()}
 
 
 class TestHeatmapSeries:
@@ -189,25 +198,51 @@ class TestHeatmapSeries:
         for f in range(frames):
             r = make_record(ts1 + timedelta(seconds=f))
             records.append(type(r)(r.timestamp, 0, "person", 0.9, (0, 0, 16, 16), full))
-        buckets = {ts1: records}
-        s = heatmap_series(buckets, (T0, T0 + 2 * STEP_15_MIN), small_geometry)
+        buckets = saturation_by_interval({ts1: records}, small_geometry)
+        s = heatmap_series(buckets, (T0, T0 + 2 * STEP_15_MIN))
         assert list(s.values) == [0.0, 1.0]
         assert s.gaps == (0,)
 
-    def test_missing_interval_zero_filled(self, small_geometry):
-        s = heatmap_series({}, (T0, T0 + 3 * STEP_15_MIN), small_geometry)
+    def test_missing_interval_zero_filled(self):
+        s = heatmap_series({}, (T0, T0 + 3 * STEP_15_MIN))
         assert list(s.values) == [0.0, 0.0, 0.0]
         assert s.gaps == (0, 1, 2)
+
+    def test_interval_without_records_is_a_gap(self, small_geometry):
+        assert interval_saturation([], small_geometry) is None
+        s = heatmap_series({T0: None}, (T0, T0 + STEP_15_MIN))
+        assert list(s.values) == [0.0]
+        assert s.gaps == (0,)
 
     def test_known_occupancy_fraction(self):
         # one 2x2 box present in 3 of 6 frames: saturation = 4*3 / (6*w*h)
         geo = FrameGeometry(8, 8, fps=6 / STEP_15_MIN.total_seconds())
         records = [make_record(T0 + timedelta(seconds=f), 0, geo) for f in range(3)]
-        s = heatmap_series({T0: records}, (T0, T0 + STEP_15_MIN), geo)
+        s = heatmap_series(saturation_by_interval({T0: records}, geo), (T0, T0 + STEP_15_MIN))
         assert s.values[0] == pytest.approx(4 * 3 / (6 * 8 * 8), abs=0)
 
     def test_saturation_zero_iff_no_mask(self, small_geometry):
         records = [make_record(T0, 0)]
-        s = heatmap_series({T0: records}, (T0, T0 + STEP_15_MIN), small_geometry)
+        s = heatmap_series(
+            saturation_by_interval({T0: records}, small_geometry), (T0, T0 + STEP_15_MIN)
+        )
         assert s.values[0] > 0
 
+    def test_reused_grids_match_fresh_ones(self, small_geometry):
+        # one set of grids carried through several intervals, as the
+        # pipeline does, gives each interval the value of fresh grids
+        rng = np.random.default_rng(5)
+        grids = HeatmapGrids(small_geometry)
+        for i in range(6):
+            records = [
+                make_record(T0 + timedelta(seconds=int(o)), int(k))
+                for o, k in zip(rng.integers(0, 30, 12), rng.integers(0, 40, 12))
+            ]
+            fresh = accumulate_heatmap(records, small_geometry, 900).copy()
+            np.testing.assert_array_equal(
+                accumulate_heatmap(records, small_geometry, 900, grids), fresh
+            )
+            assert not grids.seen.any()
+            assert interval_saturation(records, small_geometry, grids) == interval_saturation(
+                records, small_geometry
+            )

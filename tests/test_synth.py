@@ -7,7 +7,7 @@ from conftest import utc
 from crowdseries.errors import ConfigurationError, ValidationError
 from crowdseries.ingest import FrameGeometry, parse_segment_csv
 from crowdseries.pipeline import discover_segments
-from crowdseries.series import STEP_15_MIN, count_series
+from crowdseries.series import STEP_15_MIN, count_series, per_frame_counts
 from crowdseries.synth import SyntheticScenario, generate_fixture
 
 MONDAY = utc(2023, 9, 4)
@@ -40,7 +40,7 @@ def test_constant_profile_without_jitter(tmp_path):
     for path in segments.values():
         records += parse_segment_csv(path.read_text(), geo)
     sc = scenario()
-    series = count_series(records, (sc.start, sc.end))
+    series = count_series(per_frame_counts(records), (sc.start, sc.end))
     assert (series.values == 2).all()
 
 
@@ -52,7 +52,7 @@ def test_plateau_recount_matches_intent(tmp_path):
     records = []
     for path in discover_segments(tmp_path).values():
         records += parse_segment_csv(path.read_text(), geo)
-    series = count_series(records, (sc.start, sc.end))
+    series = count_series(per_frame_counts(records), (sc.start, sc.end))
     np.testing.assert_array_equal(series.values, counts)
     lo = (plateau[0] - sc.start) // STEP_15_MIN
     hi = (plateau[1] - sc.start) // STEP_15_MIN
@@ -80,7 +80,7 @@ def test_jitter_recount_matches_emitted_files(tmp_path):
     records = []
     for path in discover_segments(tmp_path).values():
         records += parse_segment_csv(path.read_text(), sc.geometry)
-    series = count_series(records, (sc.start, sc.end))
+    series = count_series(per_frame_counts(records), (sc.start, sc.end))
     np.testing.assert_array_equal(series.values, counts)
 
 
