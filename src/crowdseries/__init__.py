@@ -21,6 +21,7 @@ from .ingest import (
     DetectionRecord,
     FrameGeometry,
     MaskGeometry,
+    Segment,
     filter_by_class,
     parse_segment_csv,
     rasterize_mask,

@@ -19,7 +19,15 @@ class SchemaError(CrowdSeriesError):
 
 
 class DegenerateMaskError(CrowdSeriesError):
-    """Polygon mask rasterizes to an empty pixel set."""
+    """Polygon mask rasterizes to an empty pixel set.
+
+    ``segment`` is the index of the segment holding the mask when several
+    were rasterized together.
+    """
+
+    def __init__(self, message, segment=None):
+        super().__init__(message)
+        self.segment = segment
 
 
 class AlignmentError(CrowdSeriesError):

@@ -29,7 +29,7 @@ from .series import (
     HeatmapGrids,
     count_series,
     heatmap_series,
-    interval_saturation,
+    interval_saturations,
     per_frame_counts,
 )
 from .stl import StlConfig, stl_decompose
@@ -42,6 +42,9 @@ SEGMENT_CACHE = "segment_cache.json"
 _SEGMENT_CACHE_FORMAT = 1
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
+# Cache-missing files are reduced in chunks of about this many frame cells
+# (at least one file): 455 files of 64x36, one of 1280x720.
+_CHUNK_CELLS = 1 << 20
 
 
 class StageError(CrowdSeriesError):
@@ -128,7 +131,7 @@ class PipelineConfig:
 def discover_segments(input_dir: Path):
     """Map interval-start timestamps to segment files, from file names; none is an error."""
     segments = {}
-    for path in sorted(Path(input_dir).glob("*.csv")):
+    for path in sorted(Path(input_dir).glob("*.csv"), key=lambda p: p.name):
         try:
             ts = datetime.strptime(path.stem, "%Y%m%d_%H%M").replace(
                 tzinfo=timezone.utc
@@ -279,46 +282,67 @@ class _SegmentCache:
         os.replace(tmp, self.path)
 
 
-def reduce_segment_file(path: Path, config: PipelineConfig, grids: HeatmapGrids):
-    """Parse one segment file into ``(saturation or None, {frame timestamp: count})``.
+def reduce_segment_files(paths, config: PipelineConfig, grids: HeatmapGrids):
+    """Reduce segment files to ``(saturation or None, {frame timestamp: count})`` each.
 
-    Only records of the allowed classes count. A file without any has no
-    saturation, which marks a gap. A bad file raises StageError naming it.
+    Each file is parsed on its own, then the masks of all of them are
+    rasterized together. Only records of the allowed classes count; a file
+    without any has no saturation, which marks a gap. A bad file raises
+    StageError naming it; of several, the first in ``paths``.
     """
-    records = parse_segment_file(path, config.geometry, config.skip_bad_rows, "series")
-    kept = filter_by_class(records, config.allowed_classes)
+    kept = []
     try:
-        saturation = interval_saturation(kept, config.geometry, grids)
-    except DegenerateMaskError as exc:
-        raise StageError("series", exc, input_file=path.name) from exc
-    return saturation, per_frame_counts(kept)
+        for path in paths:
+            segment = parse_segment_file(path, config.geometry, config.skip_bad_rows, "series")
+            kept.append(filter_by_class(segment, config.allowed_classes))
+    finally:
+        # also when a file fails to parse: a bad mask in an earlier file is
+        # the earlier error
+        try:
+            saturations = interval_saturations(kept, config.geometry, grids)
+        except DegenerateMaskError as exc:
+            raise StageError("series", exc, input_file=paths[exc.segment].name) from exc
+    return [(s, per_frame_counts(segment.timestamps)) for s, segment in zip(saturations, kept)]
 
 
-def build_series(config: PipelineConfig, digests=None):
+def build_series(config: PipelineConfig, digests=None, segments=None):
     """Reduce every segment file, reusing cached reductions, and aggregate both series.
 
-    ``digests`` maps segment file names to their SHA-256; a file it lacks
-    is hashed here. Per-frame counts are summed across files before the
-    per-interval maximum, so a frame named in two files counts once with
-    all its detections.
+    ``segments`` is the map of ``discover_segments``, found here when not
+    given. ``digests`` maps segment file names to their SHA-256; a file it
+    lacks is hashed here. Files without a cached reduction are reduced in
+    chunks, in timestamp order. Per-frame counts are summed across files
+    before the per-interval maximum, so a frame named in two files counts
+    once with all its detections.
     """
-    segments = discover_segments(config.input_dir)
+    segments = segments or discover_segments(config.input_dir)
     starts = sorted(segments)
     window = (starts[0], starts[-1] + STEP_15_MIN)
     digests = digests or {}
     cache = _SegmentCache(config.output_dir / SEGMENT_CACHE, config)
-    grids = HeatmapGrids(config.geometry)
-    reductions = {}  # digest -> reduction, for this run's files
-    saturation = {}
-    frame_counts = Counter()
+    reduced = {}  # interval start -> (digest, reduction)
+    misses = []  # (interval start, digest, path) of files without a cached reduction
     for ts in starts:
         path = segments[ts]
         digest = digests.get(path.name) or _sha256_file(path)
-        reduction = cache.get(digest) or reduce_segment_file(path, config, grids)
-        reductions[digest] = reduction
-        saturation[ts], counts = reduction
+        reduction = cache.get(digest)
+        if reduction is None:
+            misses.append((ts, digest, path))
+        else:
+            reduced[ts] = digest, reduction
+    grids = HeatmapGrids(config.geometry)
+    per_chunk = max(1, _CHUNK_CELLS // (config.geometry.width * config.geometry.height))
+    for i in range(0, len(misses), per_chunk):
+        chunk = misses[i : i + per_chunk]
+        paths = [path for _, _, path in chunk]
+        for (ts, digest, _), reduction in zip(chunk, reduce_segment_files(paths, config, grids)):
+            reduced[ts] = digest, reduction
+    saturation = {}
+    frame_counts = Counter()
+    for ts, (_, (value, counts)) in reduced.items():
+        saturation[ts] = value
         frame_counts.update(counts)
-    cache.write(reductions)
+    cache.write(dict(reduced.values()))
     return {
         KIND_COUNT: count_series(frame_counts, window),
         KIND_SATURATION: heatmap_series(saturation, window),
@@ -329,13 +353,13 @@ def _artifact(out, stem, kind, suffix=".csv") -> Path:
     return Path(out) / f"{stem}_{kind}{suffix}"
 
 
-def series_stage(config: PipelineConfig, digests=None):
+def series_stage(config: PipelineConfig, digests=None, segments=None):
     """Build and write both interval series; returns ``[(path, series)]`` per kind.
 
-    ``digests`` is as for ``build_series``.
+    ``digests`` and ``segments`` are as for ``build_series``.
     """
     config.output_dir.mkdir(parents=True, exist_ok=True)
-    built = build_series(config, digests)
+    built = build_series(config, digests, segments)
     written = []
     for kind in KINDS:
         path = _artifact(config.output_dir, "series", kind)
@@ -397,7 +421,11 @@ def run_pipeline(config: PipelineConfig, emit_plots: bool = False):
     series_outputs = [p for f in series_files.values() for p in (f, f.with_suffix(".csv.meta"))]
 
     _run_stage(
-        manifest, "series", segment_hash, series_outputs, lambda: series_stage(config, digests)
+        manifest,
+        "series",
+        segment_hash,
+        series_outputs,
+        lambda: series_stage(config, digests, segments),
     )
     series = {kind: storage.read_series(series_files[kind]) for kind in KINDS}
 

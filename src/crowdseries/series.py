@@ -6,8 +6,8 @@ the interval's normalized occupancy map over its theoretical maximum).
 Both are assembled from per-interval reductions, the per-frame counts and
 one saturation value, so each segment file can be reduced on its own.
 
-Masks are rasterized and accumulated inside their own bounding boxes; only
-the final saturation sum visits the whole frame. That sum is taken over the
+Masks are rasterized as row spans and accumulated run by run; only the
+final saturation sum visits the whole frame. That sum is taken over the
 frame-sized grid of ``raw * (255 / frames)``, not as the cell-count total
 times ``255 / frames``: the two round differently whenever the scale is not
 a dyadic fraction (900 frames at 1 fps), and the grid-sum order keeps the
@@ -16,16 +16,21 @@ stored saturation series byte-identical to earlier releases.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timedelta
 
 import numpy as np
 
-from .errors import AlignmentError, ValidationError
-from .ingest import FrameGeometry, rasterize_mask
+from .errors import AlignmentError, DegenerateMaskError, ValidationError
+from .ingest import FrameGeometry, Segment, mask_spans
+from .ingest import rasterize_mask  # noqa: F401  perfbench/tracing.py times series.rasterize_mask
 
 STEP_15_MIN = timedelta(minutes=15)
+
+# raw_heatmaps expands the runs of covered cells into at most about this
+# many cell indices at a time.
+_CELL_BLOCK = 1 << 16
 
 KIND_COUNT = "count"
 KIND_SATURATION = "saturation"
@@ -73,9 +78,9 @@ class IntervalSeries:
         return delta // STEP_15_MIN
 
 
-def per_frame_counts(records):
-    """Number of detections per distinct frame timestamp."""
-    return dict(Counter(r.timestamp for r in records))
+def per_frame_counts(timestamps):
+    """Number of detections per distinct frame timestamp, one timestamp per detection."""
+    return dict(Counter(timestamps))
 
 
 def _check_window(window):
@@ -108,77 +113,134 @@ def count_series(frame_counts, window) -> IntervalSeries:
 
 
 class HeatmapGrids:
-    """Frame-sized grids that one interval after another reuses.
+    """The frame-sized grid that one interval after another reuses.
 
-    ``raw`` holds the per-cell frame counts, ``seen`` the cells the current
-    frame has already counted, and ``scaled`` the normalized map whose sum
-    is the saturation. Reusing them spares a fresh frame-sized allocation,
-    and its page faults, per interval.
+    ``raw`` holds the per-cell frame counts, and then the normalized map
+    whose sum is the saturation. Reusing it spares a fresh frame-sized
+    allocation, and its page faults, per interval.
     """
 
     def __init__(self, geometry: FrameGeometry):
-        shape = (geometry.height, geometry.width)
-        self.raw = np.zeros(shape)
-        self.seen = np.zeros(shape, dtype=bool)
-        self.scaled = np.empty(shape)
+        self.raw = np.zeros((geometry.height, geometry.width))
+
+
+def raw_heatmaps(segments, geometry: FrameGeometry, grids: HeatmapGrids):
+    """Yield, segment by segment, ``grids.raw`` counting the frames that occupy each cell.
+
+    The masks of all segments are rasterized together (``mask_spans``).
+    Masks of the same frame are unioned first, so a cell counts at most
+    once per frame and a cell occupied in every frame reaches the frame
+    count: per frame and row, the spans are sorted by start and merged into
+    disjoint runs, and each run adds 1 to its cells.
+
+    Raises DegenerateMaskError, before the first grid, for a mask that
+    covers no cell. Of several, it names the first by segment, then by
+    frame in order of first appearance, then by row; its ``segment`` is the
+    index of the segment holding it.
+    """
+    if not segments:
+        return
+    h, w = geometry.height, geometry.width
+    frame = []  # per mask, its frame, numbered across segments
+    frame_ends = []  # per segment, the number of frames up to its end
+    for segment in segments:
+        first = frame_ends[-1] if frame_ends else 0
+        ids = {}
+        frame += [first + ids.setdefault(ts, len(ids)) for ts in segment.timestamps]
+        frame_ends.append(first + len(ids))
+    frame = np.array(frame, dtype=np.int64)
+    vertices = np.concatenate([s.vertices for s in segments])
+    counts = np.concatenate([s.vertex_counts for s in segments])
+    mask, row, x0, x1 = mask_spans(vertices, counts, geometry)
+
+    covered = np.zeros(len(frame), dtype=bool)
+    covered[mask] = True
+    if not covered.all():
+        bad = np.flatnonzero(~covered)
+        m = int(bad[np.lexsort((bad, frame[bad]))[0]])
+        end = int(counts[: m + 1].sum())
+        polygon = tuple(map(tuple, vertices[end - counts[m]:end].tolist()))
+        raise DegenerateMaskError(
+            f"polygon {polygon} covers no cell on a {w}x{h} frame",
+            segment=int(np.searchsorted(frame_ends, frame[m], side="right")),
+        )
+
+    # one key per (frame, row, column); x0 and x1 lie in [0, w], so the
+    # keys of different frame rows never overlap
+    base = (frame[mask] * h + row) * (w + 1)
+    order = np.argsort(base + x0)
+    start = (base + x0)[order]
+    reach = np.maximum.accumulate((base + x1)[order])
+    opens = np.ones(len(start), dtype=bool)
+    opens[1:] = start[1:] > reach[:-1]
+    closes = np.ones(len(start), dtype=bool)
+    closes[:-1] = opens[1:]
+    run_start, run_end = start[opens], reach[closes]
+
+    # Add each run's cells to raw, expanding at most _CELL_BLOCK of them at
+    # a time (a run holds at most w); a segment's grid is complete, and
+    # yielded, once its last run is added.
+    group = run_start // (w + 1)
+    length = run_end - run_start
+    first_cell = (group % h) * w + run_start - group * (w + 1)  # in the flattened frame
+    segment_ends = np.searchsorted(group // h, frame_ends).tolist()  # runs are sorted by frame
+    flat = grids.raw.reshape(-1)
+    grids.raw.fill(0.0)
+    done = 0  # segments yielded
+    per_block = max(1, _CELL_BLOCK // w)
+    for b in range(0, len(length), per_block):
+        n = length[b:b + per_block]
+        offsets = np.concatenate(([0], np.cumsum(n))).tolist()  # of each run's cells
+        cells = np.repeat(first_cell[b:b + per_block] - offsets[:-1], n) + np.arange(offsets[-1])
+        added = b
+        while done < len(segment_ends) and segment_ends[done] <= b + len(n):
+            np.add.at(flat, cells[offsets[added - b]:offsets[segment_ends[done] - b]], 1.0)
+            added = segment_ends[done]
+            done += 1
+            yield grids.raw
+            grids.raw.fill(0.0)
+        np.add.at(flat, cells[offsets[added - b]:], 1.0)
+    for _ in range(done, len(segment_ends)):  # segments without runs after the last run
+        yield grids.raw
 
 
 def accumulate_heatmap(
     records, geometry: FrameGeometry, frames: int, grids: HeatmapGrids | None = None
 ) -> np.ndarray:
-    """Count, per cell, the frames of one interval that occupy it.
+    """Count, per cell, the frames of one interval's records that occupy it.
 
     Returns the float64 ``raw`` grid of the frame's shape, ``grids.raw``
-    when ``grids`` is given. Masks of the same frame are unioned first, so
-    a cell can contribute at most once per frame and a cell occupied in
-    every frame reaches ``frames``. Each mask touches the map only inside
-    its own bounding box; ``seen`` marks the cells the current frame has
-    already counted and is cleared box by box before the next frame.
+    when ``grids`` is given; see ``raw_heatmaps``.
     """
     if frames <= 0:
         raise ValidationError("frames must be positive", field="frames")
-    if grids is None:
-        grids = HeatmapGrids(geometry)
-    else:
-        grids.raw.fill(0.0)
-    raw, seen = grids.raw, grids.seen
-    by_frame = defaultdict(list)
-    for r in records:
-        by_frame[r.timestamp].append(r)
-    for frame_records in by_frame.values():
-        boxes = []
-        for r in frame_records:
-            row0, col0, cells = rasterize_mask(r.mask, geometry)
-            box = (
-                slice(row0, row0 + cells.shape[0]),
-                slice(col0, col0 + cells.shape[1]),
-            )
-            raw[box] += cells & ~seen[box]
-            seen[box] |= cells
-            boxes.append(box)
-        for box in boxes:
-            seen[box] = False
-    return raw
+    grids = grids or HeatmapGrids(geometry)
+    return next(raw_heatmaps([Segment.from_records(records)], geometry, grids))
 
 
 def saturation_value(raw, frames: int, geometry: FrameGeometry, out=None) -> float:
     """Sum of the map normalized to [0, 255] over its maximum w*h*255.
 
-    ``out``, a float64 grid of ``raw``'s shape, receives the normalized map.
+    ``out``, a float64 grid of ``raw``'s shape or ``raw`` itself, receives
+    the normalized map.
     """
     scaled = np.multiply(raw, 255.0 / frames, out=out)
     return float(scaled.sum() / (geometry.width * geometry.height * 255.0))
 
 
+def interval_saturations(segments, geometry: FrameGeometry, grids: HeatmapGrids):
+    """Saturation of each segment's interval; None, a gap, for a segment without rows."""
+    frames = nominal_frames(geometry.fps)
+    return [
+        saturation_value(raw, frames, geometry, out=raw) if len(segment) else None
+        for segment, raw in zip(segments, raw_heatmaps(segments, geometry, grids))
+    ]
+
+
 def interval_saturation(records, geometry: FrameGeometry, grids: HeatmapGrids | None = None):
     """Saturation of one interval's records; None, a gap, when there are none."""
-    if not records:
-        return None
-    frames = nominal_frames(geometry.fps)
-    grids = grids or HeatmapGrids(geometry)
-    return saturation_value(
-        accumulate_heatmap(records, geometry, frames, grids), frames, geometry, grids.scaled
-    )
+    segment = Segment.from_records(records)
+    return interval_saturations([segment], geometry, grids or HeatmapGrids(geometry))[0]
 
 
 def nominal_frames(fps: float) -> int:

@@ -187,11 +187,11 @@ def test_criterion_7_series_aggregation_oracle(tmp_path):
                     records.append(make_record(ts, k, geometry))
             path = directory / start.strftime("%Y%m%d_%H%M.csv")
             path.write_text(serialize_records(records))
-            parsed.append(parse_segment_csv(path.read_text(), geometry))
+            parsed.append(parse_segment_csv(path.read_text(), geometry).records())
 
         window = (MONDAY, MONDAY + n_intervals * STEP_15_MIN)
         all_records = [r for recs in parsed for r in recs]
-        series = count_series(per_frame_counts(all_records), window)
+        series = count_series(per_frame_counts(r.timestamp for r in all_records), window)
         for i, records in enumerate(parsed):
             frame_counts = {}
             for r in records:

@@ -10,7 +10,14 @@ import pytest
 from conftest import make_record, utc
 from crowdseries import detect, pipeline, storage
 from crowdseries.errors import InsufficientDataError
-from crowdseries.ingest import CSV_COLUMNS, FrameGeometry, serialize_records
+from crowdseries.ingest import (
+    CSV_COLUMNS,
+    DetectionRecord,
+    FrameGeometry,
+    MaskGeometry,
+    parse_segment_csv,
+    serialize_records,
+)
 from crowdseries.pipeline import (
     SEGMENT_CACHE,
     PipelineConfig,
@@ -21,7 +28,7 @@ from crowdseries.pipeline import (
     run_pipeline,
     series_stage,
 )
-from crowdseries.series import STEP_15_MIN
+from crowdseries.series import STEP_15_MIN, interval_saturation
 from crowdseries.storage import (
     read_decomposition,
     read_grouped_stats,
@@ -473,3 +480,72 @@ def test_degenerate_mask_on_cache_miss_names_the_file(segment_copy, tmp_path):
     with pytest.raises(StageError, match=bad.name) as info:
         build_series(config)
     assert "covers no cell" in str(info.value)
+
+
+def test_a_run_discovers_segments_once(fixture_dir, tmp_path, monkeypatch):
+    path, _ = fixture_dir
+    calls = []
+    real = pipeline.discover_segments
+
+    def discover(input_dir):
+        calls.append(input_dir)
+        return real(input_dir)
+
+    monkeypatch.setattr(pipeline, "discover_segments", discover)
+    run_pipeline(make_config(path, tmp_path / "run"))
+    assert len(calls) == 1
+    series_stage(make_config(path, tmp_path / "series"))
+    assert len(calls) == 2
+
+
+def test_chunked_reduction_matches_each_file_alone(tmp_path):
+    # 512x1024 frames: two files per chunk, so five files cross two chunk
+    # boundaries; masks overlap within a frame and span several rows
+    geometry = FrameGeometry(512, 1024, 1.0)
+    segments = tmp_path / "segments"
+    segments.mkdir()
+    rng = np.random.default_rng(3)
+    files = {}
+    for i in range(5):
+        ts = MONDAY + i * STEP_15_MIN
+        records = []
+        for k in range(int(rng.integers(1, 6))):
+            frame = ts + timedelta(seconds=int(rng.integers(0, 3)))
+            x, y = (int(v) for v in rng.integers(0, 40, 2))
+            polygon = ((x, y), (x + 30.5, y + 2), (x + 12.25, y + 41), (x + 1, y + 20.5))
+            bbox = (x, y, x + 31, y + 41)
+            records.append(DetectionRecord(frame, 0, "person", 0.9, bbox, MaskGeometry(polygon)))
+        path = segments / ts.strftime("%Y%m%d_%H%M.csv")
+        path.write_text(serialize_records(records))
+        files[i] = parse_segment_csv(path.read_text(), geometry).records()
+    built = build_series(make_config(segments, tmp_path / "out", geometry=geometry))
+    saturation = built["saturation"].values
+    assert [v.hex() for v in saturation] == [
+        interval_saturation(files[i], geometry).hex() for i in range(5)
+    ]
+    for i, records in files.items():
+        per_frame = [sum(r.timestamp == f for r in records) for f in {r.timestamp for r in records}]
+        assert built["count"].values[i] == max(per_frame)
+
+
+DEGENERATE_ROW = '2023-09-04T{t},0,person,0.5,0,0,1,1,"[(0.1,0.1),(0.2,0.1),(0.2,0.2)]"'
+SHORT_ROW = "2023-09-04T{t},0,person,0.5,0,0"
+
+
+@pytest.mark.parametrize("first", ["degenerate", "short"])
+def test_first_bad_file_of_a_chunk_is_named(tmp_path, first):
+    # two bad files in one chunk: the error is the earlier file's, as when
+    # each file was reduced on its own
+    segments = tmp_path / "segments"
+    segments.mkdir()
+    rows = {"degenerate": DEGENERATE_ROW, "short": SHORT_ROW}
+    second = "short" if first == "degenerate" else "degenerate"
+    header = ",".join(CSV_COLUMNS)
+    good = serialize_records([make_record(MONDAY, 0, GEO)])
+    (segments / "20230904_0000.csv").write_text(good)
+    (segments / "20230904_0015.csv").write_text(f"{header}\n{rows[first].format(t='00:15:00')}\n")
+    (segments / "20230904_0030.csv").write_text(f"{header}\n{rows[second].format(t='00:30:00')}\n")
+    with pytest.raises(StageError) as info:
+        build_series(make_config(segments, tmp_path / "out"))
+    assert info.value.input_file == "20230904_0015.csv"
+    assert ("covers no cell" if first == "degenerate" else "expected 9 fields") in str(info.value)

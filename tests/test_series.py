@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import brute_force_rasterize, make_record, utc
-from crowdseries.errors import AlignmentError, ValidationError
-from crowdseries.ingest import FrameGeometry, MaskGeometry
+from crowdseries import ingest, series
+from crowdseries.errors import AlignmentError, DegenerateMaskError, ValidationError
+from crowdseries.ingest import DetectionRecord, FrameGeometry, MaskGeometry, Segment, rasterize_mask
 from crowdseries.series import (
     STEP_15_MIN,
     HeatmapGrids,
@@ -15,7 +16,9 @@ from crowdseries.series import (
     count_series,
     heatmap_series,
     interval_saturation,
+    interval_saturations,
     nominal_frames,
+    raw_heatmaps,
     per_frame_counts,
     saturation_value,
 )
@@ -26,7 +29,8 @@ T0 = utc(2023, 10, 2, 10, 0)
 class TestPerFrameCounts:
     def test_counts_by_timestamp(self):
         records = [make_record(T0)] * 3 + [make_record(T0 + timedelta(seconds=1))]
-        assert per_frame_counts(records) == {T0: 3, T0 + timedelta(seconds=1): 1}
+        counts = per_frame_counts(r.timestamp for r in records)
+        assert counts == {T0: 3, T0 + timedelta(seconds=1): 1}
 
     def test_empty(self):
         assert per_frame_counts([]) == {}
@@ -36,7 +40,7 @@ class TestPerFrameCounts:
         for f in range(900):
             ts = T0 + timedelta(seconds=f)
             records += [make_record(ts, 0), make_record(ts, 1)]
-        counts = per_frame_counts(records)
+        counts = per_frame_counts(r.timestamp for r in records)
         assert len(counts) == 900
         assert all(c == 2 for c in counts.values())
 
@@ -47,7 +51,7 @@ class TestCountSeries:
         for f, n in enumerate([1, 4, 2]):
             ts = T0 + timedelta(seconds=f)
             records += [make_record(ts, k) for k in range(n)]
-        s = count_series(per_frame_counts(records), (T0, T0 + STEP_15_MIN))
+        s = count_series(per_frame_counts(r.timestamp for r in records), (T0, T0 + STEP_15_MIN))
         assert list(s.values) == [4]
 
     def test_empty_interval_is_zero_and_gap(self):
@@ -66,7 +70,7 @@ class TestCountSeries:
         for offset, k in placements:
             records.append(make_record(T0 + timedelta(seconds=offset), k))
         window = (T0, T0 + 4 * STEP_15_MIN)
-        s = count_series(per_frame_counts(records), window)
+        s = count_series(per_frame_counts(r.timestamp for r in records), window)
         # brute force: per-frame recount, then interval max
         for i in range(4):
             lo = T0 + i * STEP_15_MIN
@@ -84,11 +88,11 @@ class TestCountSeries:
             for o, k in zip(rng.integers(0, 1800, 30), rng.integers(0, 8, 30))
         ]
         window = (T0, T0 + 2 * STEP_15_MIN)
-        base = count_series(per_frame_counts(records), window).values
+        base = count_series(per_frame_counts(r.timestamp for r in records), window).values
         for _ in range(5):
             rng.shuffle(records)
             np.testing.assert_array_equal(
-                count_series(per_frame_counts(records), window).values, base
+                count_series(per_frame_counts(r.timestamp for r in records), window).values, base
             )
 
 
@@ -242,7 +246,93 @@ class TestHeatmapSeries:
             np.testing.assert_array_equal(
                 accumulate_heatmap(records, small_geometry, 900, grids), fresh
             )
-            assert not grids.seen.any()
             assert interval_saturation(records, small_geometry, grids) == interval_saturation(
                 records, small_geometry
             )
+
+
+def random_interval(rng, geometry, frames=4, most=6):
+    """Records of random quarter-pixel polygons over a few frames; none is degenerate."""
+    records = []
+    while len(records) < int(rng.integers(0, most + 1)):
+        n = int(rng.integers(3, 7))
+        points = rng.integers(0, 4 * geometry.width, (n, 2)) / 4
+        points[:, 1] = np.minimum(points[:, 1], geometry.height - 0.25)
+        mask = MaskGeometry(tuple(map(tuple, points.tolist())))
+        try:
+            rasterize_mask(mask, geometry)
+        except DegenerateMaskError:
+            continue
+        ts = T0 + timedelta(seconds=int(rng.integers(0, frames)))
+        records.append(DetectionRecord(ts, 0, "person", 0.9, (0, 0, 1, 1), mask))
+    return records
+
+
+class TestIntervalSaturations:
+    def test_many_intervals_at_once_match_each_alone(self, small_geometry):
+        # overlapping masks in one frame, and frames shared by no two segments
+        rng = np.random.default_rng(11)
+        intervals = [random_interval(rng, small_geometry) for _ in range(60)]
+        grids = HeatmapGrids(small_geometry)
+        together = interval_saturations(
+            [Segment.from_records(r) for r in intervals], small_geometry, grids
+        )
+        alone = [interval_saturation(r, small_geometry) for r in intervals]
+        assert [v and v.hex() for v in together] == [v and v.hex() for v in alone]
+        assert None in together and len(set(together)) > 10
+
+    @pytest.mark.parametrize("pair_batch, cell_block", [(1, 1), (7, 40), (200, 100)])
+    def test_batch_sizes_do_not_change_the_grids(
+        self, small_geometry, monkeypatch, pair_batch, cell_block
+    ):
+        # the kernel's mask batches and the run expansion's cell blocks end
+        # inside segments, inside frames and on their boundaries; the last
+        # two segments are empty
+        rng = np.random.default_rng(13)
+        intervals = [random_interval(rng, small_geometry) for _ in range(30)] + [[], []]
+        segments = [Segment.from_records(r) for r in intervals]
+        grids = HeatmapGrids(small_geometry)
+        expected = [raw.copy() for raw in raw_heatmaps(segments, small_geometry, grids)]
+        monkeypatch.setattr(ingest, "_PAIR_BATCH", pair_batch)
+        monkeypatch.setattr(series, "_CELL_BLOCK", cell_block)
+        batched = [raw.copy() for raw in raw_heatmaps(segments, small_geometry, grids)]
+        assert len(batched) == len(expected) == 32
+        assert not expected[-1].any()
+        for got, want in zip(batched, expected):
+            np.testing.assert_array_equal(got, want)
+
+    def test_union_per_frame_matches_brute_force(self, small_geometry):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            records = random_interval(rng, small_geometry, frames=3, most=8)
+            expected = np.zeros((16, 16))
+            for ts in {r.timestamp for r in records}:
+                union = np.zeros((16, 16), dtype=bool)
+                for r in records:
+                    if r.timestamp == ts:
+                        union |= brute_force_rasterize(r.mask.polygon, 16, 16).astype(bool)
+                expected += union
+            np.testing.assert_array_equal(accumulate_heatmap(records, small_geometry, 3), expected)
+
+    def test_degenerate_mask_names_its_segment(self, small_geometry):
+        good = [make_record(T0, 0)]
+        point = MaskGeometry(((0.1, 0.1), (0.2, 0.1), (0.2, 0.2)))
+        bad = [make_record(T0, 1), DetectionRecord(T0, 0, "person", 0.9, (0, 0, 1, 1), point)]
+        segments = [Segment.from_records(r) for r in (good, [], bad, bad)]
+        with pytest.raises(DegenerateMaskError, match="covers no cell") as err:
+            interval_saturations(segments, small_geometry, HeatmapGrids(small_geometry))
+        assert err.value.segment == 2
+
+    def test_first_degenerate_mask_by_frame_then_row(self, small_geometry):
+        # rows: frame B (good), frame A (bad), frame B (bad); frame B appears
+        # first, so its bad mask is the one named
+        a = MaskGeometry(((0.1, 0.1), (0.2, 0.1), (0.2, 0.2)))
+        b = MaskGeometry(((3.1, 3.1), (3.2, 3.1), (3.2, 3.2)))
+        t_b, t_a = T0 + timedelta(seconds=1), T0
+        records = [
+            make_record(t_b, 0),
+            DetectionRecord(t_a, 0, "person", 0.9, (0, 0, 1, 1), a),
+            DetectionRecord(t_b, 0, "person", 0.9, (3, 3, 4, 4), b),
+        ]
+        with pytest.raises(DegenerateMaskError, match=r"\(3\.1, 3\.1\)"):
+            interval_saturation(records, small_geometry)

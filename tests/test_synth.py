@@ -38,9 +38,9 @@ def test_constant_profile_without_jitter(tmp_path):
     segments = discover_segments(tmp_path)
     records = []
     for path in segments.values():
-        records += parse_segment_csv(path.read_text(), geo)
+        records += parse_segment_csv(path.read_text(), geo).records()
     sc = scenario()
-    series = count_series(per_frame_counts(records), (sc.start, sc.end))
+    series = count_series(per_frame_counts(r.timestamp for r in records), (sc.start, sc.end))
     assert (series.values == 2).all()
 
 
@@ -51,8 +51,8 @@ def test_plateau_recount_matches_intent(tmp_path):
     geo = sc.geometry
     records = []
     for path in discover_segments(tmp_path).values():
-        records += parse_segment_csv(path.read_text(), geo)
-    series = count_series(per_frame_counts(records), (sc.start, sc.end))
+        records += parse_segment_csv(path.read_text(), geo).records()
+    series = count_series(per_frame_counts(r.timestamp for r in records), (sc.start, sc.end))
     np.testing.assert_array_equal(series.values, counts)
     lo = (plateau[0] - sc.start) // STEP_15_MIN
     hi = (plateau[1] - sc.start) // STEP_15_MIN
@@ -79,8 +79,8 @@ def test_jitter_recount_matches_emitted_files(tmp_path):
     counts = generate_fixture(sc, tmp_path)
     records = []
     for path in discover_segments(tmp_path).values():
-        records += parse_segment_csv(path.read_text(), sc.geometry)
-    series = count_series(per_frame_counts(records), (sc.start, sc.end))
+        records += parse_segment_csv(path.read_text(), sc.geometry).records()
+    series = count_series(per_frame_counts(r.timestamp for r in records), (sc.start, sc.end))
     np.testing.assert_array_equal(series.values, counts)
 
 
