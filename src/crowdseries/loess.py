@@ -48,6 +48,12 @@ def loess_smooth(
 ):
     """Fitted values at ``eval_points``; x must be strictly increasing.
 
+    ``y`` is one series of shape ``(n,)`` or ``k`` series sharing ``x`` of
+    shape ``(k, n)``, with robustness weights of the same shape; the result
+    has shape ``(len(eval_points),)`` or ``(k, len(eval_points))``. Each row
+    of a batched call has the bits of a single-series call, except where
+    the single series takes the convolution path: a uniform grid evaluated
+    at its own points, without robustness weights.
     When ``window`` exceeds the number of data points it is clamped (with a
     warning). A local fit whose weights all vanish or whose normal
     equations are singular falls back to the plain weighted mean.
@@ -56,7 +62,9 @@ def loess_smooth(
     y = np.asarray(y, dtype=float)
     eval_points = np.asarray(eval_points, dtype=float)
     n = len(x)
-    if n != len(y):
+    if y.ndim not in (1, 2):
+        raise ValueError("y must have shape (n,) or (k, n)")
+    if n != y.shape[-1]:
         raise ValueError("x and y must have equal length")
     if n < 3:
         raise ValueError("need at least 3 data points")
@@ -69,16 +77,20 @@ def loess_smooth(
     if window > n:
         warnings.warn(f"window {window} clamped to series length {n}", stacklevel=2)
         window = n
+    rho = robustness_weights
+    if rho is not None:
+        rho = np.asarray(rho, dtype=float)
+        if rho.shape != y.shape:
+            raise ValueError("robustness weights must have the shape of y")
 
-    if (
-        robustness_weights is None
-        and window % 2 == 1
-        and np.array_equal(eval_points, x)
-    ):
+    if y.ndim == 2:
+        return _fit_windowed(x, y, eval_points, window, degree, rho)
+    if rho is None and window % 2 == 1 and np.array_equal(eval_points, x):
         dx = x[1] - x[0]
         if np.all(np.diff(x) == dx):
             return _fit_uniform(x, y, window, degree)
-    return _fit_windowed(x, y, eval_points, window, degree, robustness_weights)
+    rho = None if rho is None else rho[None]
+    return _fit_windowed(x, y[None], eval_points, window, degree, rho)[0]
 
 
 def _fit_uniform(x, y, window, degree):
@@ -96,32 +108,55 @@ def _fit_uniform(x, y, window, degree):
     out = np.empty(len(x))
     out[half : len(x) - half] = np.convolve(y, kernel, mode="valid")
     if half:
-        out[:half] = _fit_windowed(x, y, x[:half], window, degree, None)
-        out[-half:] = _fit_windowed(x, y, x[-half:], window, degree, None)
+        out[:half] = _fit_windowed(x, y[None], x[:half], window, degree, None)[0]
+        out[-half:] = _fit_windowed(x, y[None], x[-half:], window, degree, None)[0]
     return out
 
 
-def _fit_windowed(x, y, eval_points, window, degree, robustness_weights):
-    n = len(x)
+# cells (series x evaluation points x window) per block of temporaries, so
+# the working memory of a fit does not grow with the number of points
+_BLOCK_CELLS = 2**17
+
+
+def _fit_windowed(x, y, eval_points, window, degree, rho):
+    """Nearest-neighbour fits of the rows of ``y`` (shape k x n) at ``eval_points``.
+
+    The points are fitted in blocks; every fitted value comes from the same
+    elementwise expressions and reductions over its own window whatever
+    the block size, so blocking leaves each value's bits unchanged.
+    """
     lo = _window_starts(x, eval_points, window)
+    out = np.empty((len(y), len(eval_points)))
+    rows = max(1, _BLOCK_CELLS // (len(y) * window))
+    for b in range(0, len(eval_points), rows):
+        block = slice(b, b + rows)
+        out[:, block] = _fit_block(x, y, eval_points[block], lo[block], window, degree, rho)
+    return out
+
+
+def _fit_block(x, y, eval_points, lo, window, degree, rho):
     xs = sliding_window_view(x, window)[lo]
-    ys = sliding_window_view(y, window)[lo]
+    ys = sliding_window_view(y, window, axis=-1)[:, lo]
     d = np.abs(xs - eval_points[:, None])
     h = d.max(axis=1)
+    # tricube weights are shared by every series; robustness weights are not
     w = np.where(h[:, None] > 0, tricube(d / np.where(h == 0, 1.0, h)[:, None]), 1.0)
-    if robustness_weights is not None:
-        rho = np.asarray(robustness_weights, dtype=float)
-        w = w * sliding_window_view(rho, window)[lo]
+    if rho is not None:
+        # the indexed windows are a fresh copy; multiplying into it gives the
+        # same products without allocating a (k, rows, window) result
+        rho_w = sliding_window_view(rho, window, axis=-1)[:, lo]
+        rho_w *= w
+        w = rho_w
 
-    sw = w.sum(axis=1)
-    swy = np.einsum("ij,ij->i", w, ys)
-    mean = np.where(sw > 0, swy / np.where(sw == 0, 1.0, sw), ys.mean(axis=1))
+    sw = w.sum(axis=-1)
+    swy = np.einsum("...ij,...ij->...i", w, ys)
+    mean = np.where(sw > 0, swy / np.where(sw == 0, 1.0, sw), ys.mean(axis=-1))
     if degree == 0:
         return mean
     xc = xs - eval_points[:, None]  # centered: the intercept is the fitted value
-    swx = np.einsum("ij,ij->i", w, xc)
-    swxx = np.einsum("ij,ij,ij->i", w, xc, xc)
-    swxy = np.einsum("ij,ij,ij->i", w, xc, ys)
+    swx = np.einsum("...ij,...ij->...i", w, xc)
+    swxx = np.einsum("...ij,...ij,...ij->...i", w, xc, xc)
+    swxy = np.einsum("...ij,...ij,...ij->...i", w, xc, ys)
     denom = sw * swxx - swx * swx
     ok = (sw > 0) & (denom > 1e-12 * np.abs(sw * swxx))
     safe = np.where(ok, denom, 1.0)

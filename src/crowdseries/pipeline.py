@@ -12,7 +12,6 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
@@ -183,7 +182,8 @@ class _Manifest:
             "input_hash": input_hash,
             "outputs": {Path(p).name: _sha256_file(Path(p)) for p in outputs},
         }
-        self.path.write_text(json.dumps(self.data, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(self.data, indent=2, sort_keys=True)
+        storage.write_text_atomic(self.path, text + "\n")
 
 
 def _hash_inputs(parts) -> str:
@@ -277,9 +277,7 @@ class _SegmentCache:
             {"key": self.key, "segments": segments}, sort_keys=True, separators=(",", ":")
         )
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = self.path.with_name(self.path.name + ".tmp")
-        tmp.write_text(text + "\n")
-        os.replace(tmp, self.path)
+        storage.write_text_atomic(self.path, text + "\n")
 
 
 def reduce_segment_files(paths, config: PipelineConfig, grids: HeatmapGrids):
@@ -515,7 +513,7 @@ def emit_plot_data(report, decomp, series, output_dir):
             f"{fmt(decomp.trend[i])},{fmt(threshold['upper'])},{fmt(threshold['lower'])},"
             f"{int(i in in_run)}"
         )
-    (out / f"plot_threshold_{kind}.csv").write_text("\n".join(lines) + "\n")
+    storage.write_text_atomic(out / f"plot_threshold_{kind}.csv", "\n".join(lines) + "\n")
 
     flagged = {p["index"]: p["rank"] for p in report["points"]}
     lines = ["timestamp,residual,flagged,rank"]
@@ -525,4 +523,4 @@ def emit_plot_data(report, decomp, series, output_dir):
             f"{format_timestamp(series.timestamp(i))},{fmt(decomp.residual[i])},"
             f"{int(i in flagged)},{rank}"
         )
-    (out / f"plot_residual_{kind}.csv").write_text("\n".join(lines) + "\n")
+    storage.write_text_atomic(out / f"plot_residual_{kind}.csv", "\n".join(lines) + "\n")

@@ -112,24 +112,28 @@ def _cycle_subseries_smooth(detrended, period, window, degree, rho):
     """Smooth each of the ``period`` subseries, extended one cycle each way."""
     n = len(detrended)
     m_full, remainder = divmod(n, period)
-    if remainder == 0 and m_full >= 3 and window >= m_full:
+    if remainder == 0 and window >= m_full:
         subs = detrended.reshape(m_full, period)
         weights = np.ones_like(subs) if rho is None else rho.reshape(m_full, period)
         evals = np.arange(-1, m_full + 1, dtype=float)
         # row j, column k of the fit is time k + j*period in the extended
         # array (shifted one cycle), which is exactly row-major order
         return _batched_subseries_fit(subs, weights, evals, degree).reshape(-1)
+    # subseries k < remainder have m_full + 1 points, the rest m_full; each
+    # group shares its x grid, so one call fits all of its subseries
     extended = np.empty(n + 2 * period)
-    for k in range(period):
-        sub = detrended[k::period]
-        m = len(sub)
+    for first, stop, m in ((0, remainder, m_full + 1), (remainder, period, m_full)):
+        if first == stop:
+            continue
+        cols = np.arange(first, stop)[:, None]
+        at = cols + period * np.arange(m)  # row k holds times k, k + period, ...
         xs = np.arange(m, dtype=float)
         eval_pts = np.arange(-1, m + 1, dtype=float)
-        sub_rho = None if rho is None else rho[k::period]
-        fitted = loess_smooth(xs, sub, eval_pts, min(window, m), degree, sub_rho)
+        sub_rho = None if rho is None else rho[at]
+        fitted = loess_smooth(xs, detrended[at], eval_pts, min(window, m), degree, sub_rho)
         # eval position j maps to time k + j*period; the array is shifted by
         # one period so the leading extrapolated cycle lands at index k
-        extended[k :: period][: m + 2] = fitted
+        extended[cols + period * np.arange(m + 2)] = fitted
     return extended
 
 
@@ -146,9 +150,9 @@ def stl_decompose_values(y, config: StlConfig) -> StlDecomposition:
     y = np.asarray(y, dtype=float)
     n = len(y)
     p = config.period
-    if n < 2 * p:
+    if n < 3 * p:  # every cycle subseries needs three points for a local fit
         raise InsufficientDataError(
-            f"series length {n} shorter than two periods ({2 * p})"
+            f"series length {n} shorter than three periods ({3 * p})"
         )
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # window clamping inside subseries fits

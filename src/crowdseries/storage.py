@@ -7,6 +7,7 @@ stage stays diffable and inspectable.
 from __future__ import annotations
 
 import json
+import os
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -21,6 +22,22 @@ from .stl import StlDecomposition
 STEP_SECONDS = str(int(STEP_15_MIN.total_seconds()))  # the only grid a .meta may name
 
 
+def write_text_atomic(path, text: str):
+    """Write ``text`` to ``path`` through a temp file in the same directory.
+
+    ``os.replace`` swaps the finished file in, so a failed or interrupted
+    write leaves the previous file whole and no temp file behind.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def _fmt(value: float) -> str:
     return repr(float(value))
 
@@ -31,7 +48,7 @@ def write_series(series: IntervalSeries, path, geometry: FrameGeometry | None = 
     lines = ["timestamp,value"]
     for i, v in enumerate(series.values):
         lines.append(f"{format_timestamp(series.timestamp(i))},{_fmt(v)}")
-    path.write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
     meta = {
         "kind": series.kind,
@@ -46,7 +63,7 @@ def write_series(series: IntervalSeries, path, geometry: FrameGeometry | None = 
             fps=repr(geometry.fps),
         )
     sidecar = path.with_suffix(path.suffix + ".meta")
-    sidecar.write_text("".join(f"{k}={v}\n" for k, v in meta.items()))
+    write_text_atomic(sidecar, "".join(f"{k}={v}\n" for k, v in meta.items()))
 
 
 def _read_meta(path) -> dict:
@@ -99,7 +116,7 @@ def write_grouped_stats(stats: GroupedStats, path):
     for key in GroupKey.all_keys():
         median, iqr = stats.table[key]
         lines.append(f"{key.weekday},{key.hour},{key.minute},{_fmt(median)},{_fmt(iqr)}")
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_grouped_stats(path) -> GroupedStats:
@@ -121,7 +138,7 @@ def write_decomposition(series: IntervalSeries, decomp: StlDecomposition, path):
             f"{_fmt(series.values[i])},{_fmt(decomp.trend[i])},"
             f"{_fmt(decomp.seasonal[i])},{_fmt(decomp.residual[i])}"
         )
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_decomposition(path) -> StlDecomposition:
@@ -140,7 +157,7 @@ def read_decomposition(path) -> StlDecomposition:
 
 
 def write_report(report: dict, path):
-    Path(path).write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    write_text_atomic(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
 
 
 def read_report(path) -> dict:

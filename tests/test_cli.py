@@ -8,7 +8,8 @@ from click.testing import CliRunner
 from conftest import utc
 from crowdseries.cli import main
 from crowdseries.ingest import CSV_COLUMNS, FrameGeometry
-from crowdseries.storage import read_report, read_series
+from crowdseries.series import IntervalSeries
+from crowdseries.storage import read_report, read_series, write_series
 from crowdseries.synth import SyntheticScenario, generate_fixture
 
 MONDAY = utc(2023, 9, 4)
@@ -163,6 +164,31 @@ def test_stagewise_chain(runner, segments_dir, tmp_path):
             assert staged["config_echo"][key] == full["config_echo"][key]
         del staged["config_echo"], full["config_echo"]
         assert staged == full
+
+
+def test_decompose_short_series_exit_3(runner, tmp_path):
+    # two to three days: enough for the old two-period check, too few points
+    # per cycle subseries for a local fit
+    path = tmp_path / "short.csv"
+    write_series(IntervalSeries(MONDAY, np.arange(200) % 7, "count"), path)
+    result = runner.invoke(
+        main, ["decompose", "--series", str(path), "--output", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 3, result.output
+    assert result.stderr.startswith("error:")
+    assert "three periods" in result.stderr
+    assert "Traceback" not in result.output
+
+
+def test_run_short_series_without_augmentation_exit_3(runner, segments_dir, tmp_path):
+    short = tmp_path / "short"
+    short.mkdir()
+    for path in sorted(segments_dir.iterdir())[:200]:
+        (short / path.name).write_bytes(path.read_bytes())
+    options = ["--input", str(short), "--output", str(tmp_path / "out"), "--geometry", "16x16@1"]
+    result = runner.invoke(main, ["run", *options, "--seed", "1", "--weeks", "0"])
+    assert result.exit_code == 3, result.output
+    assert "three periods" in result.stderr
 
 
 def test_augment_rejects_other_step(runner, segments_dir, tmp_path):

@@ -103,3 +103,93 @@ def test_rejects_bad_inputs():
         loess_smooth(x, x, x, 5, degree=2)
     with pytest.raises(ValueError, match="equal length"):
         loess_smooth(x, x[:5], x, 5)
+
+
+def _one_block_reference(x, y, eval_points, window, degree, robustness_weights):
+    """One series fitted at every point at once: the unblocked windowed fit."""
+    from numpy.lib.stride_tricks import sliding_window_view
+
+    from crowdseries.loess import _window_starts, tricube
+
+    lo = _window_starts(x, eval_points, window)
+    xs = sliding_window_view(x, window)[lo]
+    ys = sliding_window_view(y, window)[lo]
+    d = np.abs(xs - eval_points[:, None])
+    h = d.max(axis=1)
+    w = np.where(h[:, None] > 0, tricube(d / np.where(h == 0, 1.0, h)[:, None]), 1.0)
+    if robustness_weights is not None:
+        w = w * sliding_window_view(robustness_weights, window)[lo]
+    sw = w.sum(axis=1)
+    swy = np.einsum("ij,ij->i", w, ys)
+    mean = np.where(sw > 0, swy / np.where(sw == 0, 1.0, sw), ys.mean(axis=1))
+    if degree == 0:
+        return mean
+    xc = xs - eval_points[:, None]
+    swx = np.einsum("ij,ij->i", w, xc)
+    swxx = np.einsum("ij,ij,ij->i", w, xc, xc)
+    swxy = np.einsum("ij,ij,ij->i", w, xc, ys)
+    denom = sw * swxx - swx * swx
+    ok = (sw > 0) & (denom > 1e-12 * np.abs(sw * swxx))
+    fitted = (swxx * swy - swx * swxy) / np.where(ok, denom, 1.0)
+    return np.where(ok, fitted, mean)
+
+
+def _hex(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+def _batch(k=3, n=60, seed=8):
+    """Irregular x, k noisy series, and robustness weights with a zero run
+    wide enough to empty whole windows (the weighted-mean fallback)."""
+    rng = np.random.default_rng(seed)
+    x = np.cumsum(rng.uniform(0.5, 1.5, n))
+    y = np.sin(x / 4) + rng.normal(0, 0.3, (k, n))
+    rho = rng.uniform(0.0, 1.0, (k, n))
+    rho[0, 20:40] = 0.0
+    eval_points = np.concatenate([[x[0] - 2.0], x[::3], (x[1:] + x[:-1])[::4] / 2, [x[-1] + 1.5]])
+    return x, y, rho, eval_points
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("use_rho", [False, True], ids=["plain", "robust"])
+@pytest.mark.parametrize("rows", [1, 7, 10**6], ids=["one-row", "ragged-blocks", "one-block"])
+def test_block_size_leaves_bits_unchanged(monkeypatch, rows, use_rho, degree):
+    from crowdseries import loess
+
+    x, y, rho, eval_points = _batch()
+    window = 9
+    assert len(eval_points) % 7 != 0  # the last block is short
+    monkeypatch.setattr(loess, "_BLOCK_CELLS", rows * len(y) * window)
+    weights = rho if use_rho else None
+    out = loess._fit_windowed(x, y, eval_points, window, degree, weights)
+    for i in range(len(y)):
+        ref = _one_block_reference(
+            x, y[i], eval_points, window, degree, None if weights is None else weights[i]
+        )
+        assert _hex(out[i]) == _hex(ref)
+
+
+@pytest.mark.parametrize("degree", [0, 1])
+@pytest.mark.parametrize("use_rho", [False, True], ids=["plain", "robust"])
+def test_rows_of_a_batched_call_match_single_calls(use_rho, degree):
+    from crowdseries.loess import loess_smooth
+
+    x, y, rho, eval_points = _batch(k=4, seed=9)
+    weights = rho if use_rho else None
+    out = loess_smooth(x, y, eval_points, 11, degree, weights)
+    assert out.shape == (4, len(eval_points))
+    for i in range(len(y)):
+        row_rho = None if weights is None else weights[i]
+        single = loess_smooth(x, y[i], eval_points, 11, degree, row_rho)
+        assert _hex(out[i]) == _hex(single)
+
+
+def test_batched_call_rejects_mismatched_weights():
+    from crowdseries.loess import loess_smooth
+
+    x = np.arange(10, dtype=float)
+    y = np.ones((2, 10))
+    with pytest.raises(ValueError, match="shape of y"):
+        loess_smooth(x, y, x, 5, robustness_weights=np.ones(10))
+    with pytest.raises(ValueError, match="shape"):
+        loess_smooth(x, np.ones((2, 2, 10)), x, 5)

@@ -219,6 +219,58 @@ def test_os_error_removes_stage_outputs(fixture_dir, tmp_path, monkeypatch):
     assert not list(out.glob("series_*"))
 
 
+@pytest.fixture(scope="module")
+def plotted_run(fixture_dir, tmp_path_factory):
+    path, _ = fixture_dir
+    out = tmp_path_factory.mktemp("plotted") / "out"
+    run_pipeline(make_config(path, out), emit_plots=True)
+    return out
+
+
+@pytest.mark.parametrize(
+    "artifact",
+    ["series", "grouped_stats", "decomposition", "report", "plot_data", "manifest", "cache"],
+)
+def test_failed_write_keeps_the_previous_artifact(
+    fixture_dir, plotted_run, tmp_path, monkeypatch, artifact
+):
+    out = shutil.copytree(plotted_run, tmp_path / "out")
+    config = make_config(fixture_dir[0], out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+
+    series = read_series(out / "series_count.csv")
+    decomp = read_decomposition(out / "decomposition_count.csv")
+    decomp.trend += 1.0
+    report = read_report(out / "report_count.json")
+    report["threshold"]["upper"] += 1.0
+    stats = read_grouped_stats(out / "grouped_stats_count.csv")
+    stats.table = {key: (median + 1.0, iqr) for key, (median, iqr) in stats.table.items()}
+    rewrite = {
+        "series": lambda: write_series(series, out / "series_count.csv"),
+        "grouped_stats": lambda: storage.write_grouped_stats(
+            stats, out / "grouped_stats_count.csv"
+        ),
+        "decomposition": lambda: storage.write_decomposition(
+            series, decomp, out / "decomposition_count.csv"
+        ),
+        "report": lambda: storage.write_report(report, out / "report_count.json"),
+        "plot_data": lambda: emit_plot_data(report, decomp, series, out),
+        "manifest": lambda: pipeline._Manifest(out).record("extra", "0", []),
+        "cache": lambda: pipeline._SegmentCache(out / SEGMENT_CACHE, config).write({}),
+    }[artifact]
+
+    def write_half_then_fail(self, data, *args, **kwargs):
+        with open(self, "w") as fh:
+            fh.write(data[: len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError):
+        rewrite()
+    monkeypatch.undo()
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 def test_cache_invalidated_by_config_change(fixture_dir, tmp_path):
     path, _ = fixture_dir
     out = tmp_path / "out"

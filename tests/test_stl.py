@@ -4,8 +4,10 @@ import pytest
 from conftest import utc
 from crowdseries.errors import ConfigurationError, InsufficientDataError
 from crowdseries.series import IntervalSeries
+from crowdseries.loess import loess_smooth
 from crowdseries.stl import (
     StlConfig,
+    _cycle_subseries_smooth,
     default_trend_window,
     seasonal_strength,
     stl_decompose,
@@ -53,8 +55,15 @@ class TestDecompose:
         np.testing.assert_allclose(d.trend + d.seasonal + d.residual, y, atol=1e-9)
 
     def test_too_short_series(self):
-        with pytest.raises(InsufficientDataError):
-            stl_decompose_values(np.zeros(100), StlConfig(period=96))
+        # every cycle subseries needs three points, so n < 3 periods is refused
+        for n in (100, 192, 287):
+            with pytest.raises(InsufficientDataError, match="three periods"):
+                stl_decompose_values(np.zeros(n), StlConfig(period=96))
+
+    def test_three_periods_suffice(self):
+        _, _, y = planted(3 * PERIOD)
+        d = stl_decompose_values(y, StlConfig())
+        np.testing.assert_allclose(d.trend + d.seasonal + d.residual, y, atol=1e-9)
 
     def test_pure_periodic_input(self):
         t = np.arange(28 * PERIOD)
@@ -100,6 +109,52 @@ class TestDecompose:
         np.testing.assert_allclose(
             d.trend + d.seasonal + d.residual, series.values, atol=1e-9
         )
+
+
+def _subseries_one_by_one(detrended, period, window, degree, rho):
+    """Reference: fit each cycle subseries on its own, extended one cycle each way."""
+    n = len(detrended)
+    extended = np.empty(n + 2 * period)
+    for k in range(period):
+        sub = detrended[k::period]
+        m = len(sub)
+        sub_rho = None if rho is None else rho[k::period]
+        xs = np.arange(m, dtype=float)
+        eval_pts = np.arange(-1, m + 1, dtype=float)
+        fitted = loess_smooth(xs, sub, eval_pts, min(window, m), degree, sub_rho)
+        extended[k::period][: m + 2] = fitted
+    return extended
+
+
+class TestCycleSubseries:
+    # (n, period, window): ragged with window >= m, ragged with window < m,
+    # and divisible with window < m, which the full-window batch cannot take
+    @pytest.mark.parametrize(
+        "n, period, window", [(7 * 20 + 3, 7, 41), (7 * 20 + 3, 7, 11), (7 * 20, 7, 11)]
+    )
+    @pytest.mark.parametrize("degree", [0, 1])
+    @pytest.mark.parametrize("robust", [False, True], ids=["plain", "robust"])
+    def test_grouped_fit_matches_one_by_one(self, n, period, window, degree, robust):
+        rng = np.random.default_rng(n + window)
+        detrended = np.sin(np.arange(n) * 2 * np.pi / period) + rng.normal(0, 0.5, n)
+        rho = rng.uniform(0.0, 1.0, n) if robust else None
+        out = _cycle_subseries_smooth(detrended, period, window, degree, rho)
+        ref = _subseries_one_by_one(detrended, period, window, degree, rho)
+        assert [v.hex() for v in out] == [v.hex() for v in ref]
+
+    def test_deep_history_memory_stays_bounded(self):
+        # 54 weeks at 15 minutes; the robust trend pass once held several
+        # n x 145 temporaries (245 MB traced), now blocks of 2^17 cells
+        import tracemalloc
+
+        _, _, y = planted(54 * 7 * PERIOD)
+        tracemalloc.start()
+        try:
+            stl_decompose_values(y, StlConfig())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
 
 
 class TestSeasonalStrength:
