@@ -30,7 +30,6 @@ from .loess import loess_smooth
 from .pipeline import PipelineConfig, run_pipeline
 from .series import (
     IntervalSeries,
-    accumulate_heatmap,
     count_series,
     heatmap_series,
     saturation_value,

@@ -9,6 +9,7 @@ Exit codes: 0 success, 2 validation error, 3 insufficient data, 4 I/O.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import logging
 import sys
@@ -55,29 +56,26 @@ def _config_from_options(config_path, overrides) -> pipeline.PipelineConfig:
     if config_path:
         config = pipeline.PipelineConfig.from_json(config_path)
     else:
-        config = pipeline.PipelineConfig(
-            input_dir=overrides.get("input") or ".",
-            output_dir=overrides.get("output") or "out",
+        config = pipeline.PipelineConfig(input_dir=".", output_dir="out")
+    changes = {
+        attr: overrides[key]
+        for key, attr in (
+            ("input", "input_dir"),
+            ("output", "output_dir"),
+            ("seed", "seed"),
+            ("weeks", "augment_weeks"),
+            ("alpha", "esd_alpha"),
+            ("max_anoms", "esd_max_anomalies"),
         )
-    for key, attr in (
-        ("input", "input_dir"),
-        ("output", "output_dir"),
-        ("seed", "seed"),
-        ("weeks", "augment_weeks"),
-        ("alpha", "esd_alpha"),
-        ("max_anoms", "esd_max_anomalies"),
-    ):
-        if overrides.get(key) is not None:
-            setattr(config, attr, overrides[key])
+        if overrides.get(key) is not None
+    }
     if overrides.get("geometry"):
-        config.geometry = _parse_geometry(overrides["geometry"])
+        changes["geometry"] = _parse_geometry(overrides["geometry"])
     if overrides.get("classes"):
-        config.allowed_classes = tuple(overrides["classes"].split(","))
+        changes["allowed_classes"] = tuple(overrides["classes"].split(","))
     if overrides.get("skip_bad_rows"):
-        config.skip_bad_rows = True
-    config.input_dir = Path(config.input_dir)
-    config.output_dir = Path(config.output_dir)
-    return config
+        changes["skip_bad_rows"] = True
+    return dataclasses.replace(config, **changes)  # validated like the config file
 
 
 @click.group(cls=_ExitCodeGroup)

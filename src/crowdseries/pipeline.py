@@ -81,6 +81,12 @@ class PipelineConfig:
             raise ConfigurationError(f"workers must be >= 1, got {self.workers}")
         if not 0 < self.augment_fraction <= 1:
             raise ConfigurationError(f"augment_fraction {self.augment_fraction} outside (0, 1]")
+        if not 0 < self.esd_alpha < 1:
+            raise ConfigurationError(f"esd_alpha {self.esd_alpha} outside (0, 1)")
+        if self.esd_max_anomalies is not None and self.esd_max_anomalies < 1:
+            raise ConfigurationError(
+                f"esd_max_anomalies must be >= 1 or null, got {self.esd_max_anomalies}"
+            )
         unknown = sorted(set(self.stl) - set(KINDS))
         if unknown:
             raise ConfigurationError(f"stl: unknown series kind(s) {unknown}")
@@ -158,11 +164,18 @@ class _Manifest:
         self.dir = output_dir
         self.path = output_dir / "manifest.json"
         self.data = {}
-        if self.path.exists():
-            try:
-                self.data = json.loads(self.path.read_text())
-            except json.JSONDecodeError:
-                self.data = {}
+        try:
+            data = json.loads(self.path.read_text())
+            if not isinstance(data, dict) or not all(
+                isinstance(entry, dict) and isinstance(entry.get("outputs"), dict)
+                for entry in data.values()
+            ):
+                raise ValueError("not an object of stage entries")
+            self.data = data
+        except FileNotFoundError:
+            pass
+        except ValueError as exc:  # not JSON, or not the shape written
+            log.warning("ignoring unreadable %s: %s", self.path.name, exc)
 
     def stage_is_current(self, stage, input_hash, outputs) -> bool:
         entry = self.data.get(stage)
@@ -220,26 +233,30 @@ def parse_segment_file(path: Path, geometry, skip_bad_rows, stage):
         raise StageError(stage, exc, input_file=path.name) from exc
 
 
+def _reduction_key(config: PipelineConfig) -> dict:
+    """Everything but a segment file's bytes that its reduction depends on."""
+    geometry = config.geometry
+    return {
+        "format": _SEGMENT_CACHE_FORMAT,
+        "geometry": [geometry.width, geometry.height, geometry.fps],
+        "allowed_classes": sorted(config.allowed_classes),
+        "skip_bad_rows": config.skip_bad_rows,
+    }
+
+
 class _SegmentCache:
     """Per-file reductions, ``(saturation or None, {frame timestamp: count})``.
 
     Kept in ``segment_cache.json`` and keyed by each file's SHA-256, under
-    one key for everything else a reduction depends on: the cache format,
-    the geometry, the allowed classes and ``skip_bad_rows``. A file with
-    another key, or one that is not valid JSON of the expected shape, is
-    ignored and rewritten. Frame timestamps are stored as integer
+    one key for everything else a reduction depends on (``_reduction_key``).
+    A file with another key, or one that is not valid JSON of the expected
+    shape, is ignored and rewritten. Frame timestamps are stored as integer
     microseconds since the epoch.
     """
 
     def __init__(self, path: Path, config: PipelineConfig):
         self.path = path
-        geometry = config.geometry
-        self.key = {
-            "format": _SEGMENT_CACHE_FORMAT,
-            "geometry": [geometry.width, geometry.height, geometry.fps],
-            "allowed_classes": sorted(config.allowed_classes),
-            "skip_bad_rows": config.skip_bad_rows,
-        }
+        self.key = _reduction_key(config)
         self.stored = {}
         try:
             data = json.loads(path.read_text())
@@ -351,6 +368,12 @@ def _artifact(out, stem, kind, suffix=".csv") -> Path:
     return Path(out) / f"{stem}_{kind}{suffix}"
 
 
+def _outputs(out, stem, suffix=".csv", meta=False):
+    """The artifacts ``stem`` of both kinds, each followed by its ``.meta`` sidecar if ``meta``."""
+    paths = [_artifact(out, stem, kind, suffix) for kind in KINDS]
+    return [q for p in paths for q in (p, p.with_suffix(suffix + ".meta"))] if meta else paths
+
+
 def series_stage(config: PipelineConfig, digests=None, segments=None):
     """Build and write both interval series; returns ``[(path, series)]`` per kind.
 
@@ -389,14 +412,12 @@ def decompose_stage(series, stl_config: StlConfig, output_dir):
 
 def detect_stage(series, decomp, output_dir, *, alpha, max_anomalies, config_echo):
     """Find and report collective and point anomalies; returns ``(path, report)``."""
+    if max_anomalies is None:
+        max_anomalies = detect.EsdConfig.default_for(len(series), alpha).max_anomalies
+    esd_config = detect.EsdConfig(max_anomalies=max_anomalies, alpha=alpha)
     Path(output_dir).mkdir(parents=True, exist_ok=True)
     spec = detect.compute_threshold(series)
     collectives = detect.collective_anomalies(decomp.trend, spec)
-    esd_config = detect.EsdConfig(
-        max_anomalies=max_anomalies
-        or detect.EsdConfig.default_for(len(series), alpha).max_anomalies,
-        alpha=alpha,
-    )
     points = detect.seasonal_esd(decomp, collectives, esd_config)
     report = detect.build_report(series, spec, collectives, points, config_echo=config_echo)
     path = _artifact(output_dir, "report", series.kind, ".json")
@@ -405,45 +426,29 @@ def detect_stage(series, decomp, output_dir, *, alpha, max_anomalies, config_ech
 
 
 def run_pipeline(config: PipelineConfig, emit_plots: bool = False):
-    """Run all stages; returns {kind: report dict} for both series."""
+    """Run all stages; returns {kind: report dict} for both series.
+
+    Each stage's key hashes the previous stage's key and the settings that
+    stage reads, so a stage re-runs exactly when one of its inputs changed.
+    """
     out = config.output_dir
     out.mkdir(parents=True, exist_ok=True)
     manifest = _Manifest(out)
     segments = discover_segments(config.input_dir)
     digests = {p.name: _sha256_file(p) for p in segments.values()}
-    segment_hash = _hash_inputs(
-        [config.echo()] + [f"{name}:{digest}" for name, digest in sorted(digests.items())]
+    key = _hash_inputs(
+        [_reduction_key(config)] + [f"{name}:{digest}" for name, digest in sorted(digests.items())]
     )
-
-    series_files = {kind: _artifact(out, "series", kind) for kind in KINDS}
-    series_outputs = [p for f in series_files.values() for p in (f, f.with_suffix(".csv.meta"))]
-
-    _run_stage(
-        manifest,
-        "series",
-        segment_hash,
-        series_outputs,
-        lambda: series_stage(config, digests, segments),
-    )
-    series = {kind: storage.read_series(series_files[kind]) for kind in KINDS}
-
-    analyzed_files = dict(series_files)
+    outputs = _outputs(out, "series", meta=True)
+    _run_stage(manifest, "series", key, outputs, lambda: series_stage(config, digests, segments))
+    analyzed_paths = _outputs(out, "series")
     if config.augment_weeks >= 1:
-        stats_files = {kind: _artifact(out, "grouped_stats", kind) for kind in KINDS}
-        augmented_files = {kind: _artifact(out, "augmented", kind) for kind in KINDS}
-        augment_hash = _hash_inputs(
-            [segment_hash, config.augment_weeks, config.augment_fraction, config.seed]
-        )
-        aug_outputs = list(stats_files.values()) + [
-            p
-            for f in augmented_files.values()
-            for p in (f, f.with_suffix(".csv.meta"))
-        ]
+        key = _hash_inputs([key, config.augment_weeks, config.augment_fraction, config.seed])
 
         def compute_augment():
             for kind in KINDS:
                 augment_stage(
-                    series[kind],
+                    storage.read_series(_artifact(out, "series", kind)),
                     out,
                     weeks=config.augment_weeks,
                     fraction=config.augment_fraction,
@@ -451,28 +456,22 @@ def run_pipeline(config: PipelineConfig, emit_plots: bool = False):
                     geometry=config.geometry,
                 )
 
-        _run_stage(manifest, "augment", augment_hash, aug_outputs, compute_augment)
-        analyzed_files = augmented_files
+        outputs = _outputs(out, "grouped_stats") + _outputs(out, "augmented", meta=True)
+        _run_stage(manifest, "augment", key, outputs, compute_augment)
+        analyzed_paths = _outputs(out, "augmented")
+    analyzed = {kind: storage.read_series(path) for kind, path in zip(KINDS, analyzed_paths)}
 
-    analyzed = {kind: storage.read_series(analyzed_files[kind]) for kind in KINDS}
-
-    decomp_files = {kind: _artifact(out, "decomposition", kind) for kind in KINDS}
-    decomp_hash = _hash_inputs(
-        [_sha256_file(analyzed_files[k]) for k in KINDS]
-        + [repr(config.stl[k]) for k in KINDS]
-    )
+    key = _hash_inputs([key] + [repr(config.stl[kind]) for kind in KINDS])
 
     def compute_decompose():
         for kind in KINDS:
             decompose_stage(analyzed[kind], config.stl[kind], out)
 
-    _run_stage(manifest, "decompose", decomp_hash, list(decomp_files.values()), compute_decompose)
-    decomps = {kind: storage.read_decomposition(decomp_files[kind]) for kind in KINDS}
+    outputs = _outputs(out, "decomposition")
+    _run_stage(manifest, "decompose", key, outputs, compute_decompose)
+    decomps = {kind: storage.read_decomposition(path) for kind, path in zip(KINDS, outputs)}
 
-    report_files = {kind: _artifact(out, "report", kind, ".json") for kind in KINDS}
-    detect_hash = _hash_inputs(
-        [decomp_hash, config.esd_alpha, config.esd_max_anomalies]
-    )
+    key = _hash_inputs([key, config.echo()])
 
     def compute_detect():
         for kind in KINDS:
@@ -485,8 +484,9 @@ def run_pipeline(config: PipelineConfig, emit_plots: bool = False):
                 config_echo=config.echo(),
             )
 
-    _run_stage(manifest, "detect", detect_hash, list(report_files.values()), compute_detect)
-    reports = {kind: storage.read_report(report_files[kind]) for kind in KINDS}
+    outputs = _outputs(out, "report", ".json")
+    _run_stage(manifest, "detect", key, outputs, compute_detect)
+    reports = {kind: storage.read_report(path) for kind, path in zip(KINDS, outputs)}
 
     if emit_plots:
         for kind in KINDS:

@@ -23,7 +23,7 @@ from datetime import datetime, timedelta
 import numpy as np
 
 from .errors import AlignmentError, DegenerateMaskError, ValidationError
-from .ingest import FrameGeometry, Segment, mask_spans
+from .ingest import FrameGeometry, mask_spans
 from .ingest import rasterize_mask  # noqa: F401  perfbench/tracing.py times series.rasterize_mask
 
 STEP_15_MIN = timedelta(minutes=15)
@@ -204,20 +204,6 @@ def raw_heatmaps(segments, geometry: FrameGeometry, grids: HeatmapGrids):
         yield grids.raw
 
 
-def accumulate_heatmap(
-    records, geometry: FrameGeometry, frames: int, grids: HeatmapGrids | None = None
-) -> np.ndarray:
-    """Count, per cell, the frames of one interval's records that occupy it.
-
-    Returns the float64 ``raw`` grid of the frame's shape, ``grids.raw``
-    when ``grids`` is given; see ``raw_heatmaps``.
-    """
-    if frames <= 0:
-        raise ValidationError("frames must be positive", field="frames")
-    grids = grids or HeatmapGrids(geometry)
-    return next(raw_heatmaps([Segment.from_records(records)], geometry, grids))
-
-
 def saturation_value(raw, frames: int, geometry: FrameGeometry, out=None) -> float:
     """Sum of the map normalized to [0, 255] over its maximum w*h*255.
 
@@ -237,12 +223,6 @@ def interval_saturations(segments, geometry: FrameGeometry, grids: HeatmapGrids)
     ]
 
 
-def interval_saturation(records, geometry: FrameGeometry, grids: HeatmapGrids | None = None):
-    """Saturation of one interval's records; None, a gap, when there are none."""
-    segment = Segment.from_records(records)
-    return interval_saturations([segment], geometry, grids or HeatmapGrids(geometry))[0]
-
-
 def nominal_frames(fps: float) -> int:
     # dropouts do not reduce the normalization denominator
     return max(1, round(STEP_15_MIN.total_seconds() * fps))
@@ -252,8 +232,8 @@ def heatmap_series(saturation, window) -> IntervalSeries:
     """Saturation series over the window.
 
     ``saturation`` maps interval-start timestamps to the interval's
-    saturation (``interval_saturation``); intervals it lacks or maps to
-    None are zero-filled and flagged as gaps.
+    saturation; intervals it lacks or maps to None are zero-filled and
+    flagged as gaps.
     """
     _check_window(window)
     start, end = window

@@ -25,6 +25,7 @@ from crowdseries.ingest import (
     DetectionRecord,
     FrameGeometry,
     MaskGeometry,
+    Segment,
     parse_segment_csv,
     rasterize_mask,
     serialize_records,
@@ -33,10 +34,11 @@ from crowdseries.loess import loess_smooth
 from crowdseries.pipeline import PipelineConfig, run_pipeline
 from crowdseries.series import (
     STEP_15_MIN,
+    HeatmapGrids,
     IntervalSeries,
-    accumulate_heatmap,
     count_series,
     per_frame_counts,
+    raw_heatmaps,
     saturation_value,
 )
 from crowdseries.stl import StlConfig, stl_decompose_values
@@ -198,7 +200,8 @@ def test_criterion_7_series_aggregation_oracle(tmp_path):
                 frame_counts[r.timestamp] = frame_counts.get(r.timestamp, 0) + 1
             assert series.values[i] == (max(frame_counts.values()) if frame_counts else 0)
 
-            accumulated = accumulate_heatmap(records, geometry, frames)
+            segments = [Segment.from_records(records)]
+            accumulated = next(raw_heatmaps(segments, geometry, HeatmapGrids(geometry)))
             # brute-force accumulation with the per-cell polygon scan
             raw = np.zeros((geometry.height, geometry.width))
             by_frame = {}
@@ -236,7 +239,7 @@ def test_criterion_7_series_aggregation_oracle(tmp_path):
         )
         for f in range(frames)
     ]
-    full = accumulate_heatmap(records, geometry, frames)
+    full = next(raw_heatmaps([Segment.from_records(records)], geometry, HeatmapGrids(geometry)))
     assert saturation_value(full, frames, geometry) == 1.0
     report(f"7 PASS: {checked} intervals across 50 fixture dirs match brute force exactly")
 

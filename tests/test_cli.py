@@ -319,8 +319,17 @@ def test_run_misconfiguration_exit_2(runner, tmp_path, config, options):
         {"augment_fraction": 0},
         {"stl": {"cuont": {"period": 48}}},
         {"step_seconds": 900},
+        {"esd_alpha": 1},
+        {"esd_max_anomalies": 0},
     ],
-    ids=["workers-0", "augment-fraction-0", "stl-kind-typo", "step-seconds"],
+    ids=[
+        "workers-0",
+        "augment-fraction-0",
+        "stl-kind-typo",
+        "step-seconds",
+        "esd-alpha-1",
+        "esd-max-anomalies-0",
+    ],
 )
 def test_run_rejects_config_before_any_stage(runner, segments_dir, tmp_path, setting):
     out = tmp_path / "out"
@@ -331,6 +340,36 @@ def test_run_rejects_config_before_any_stage(runner, segments_dir, tmp_path, set
     assert result.exit_code == 2, result.output
     assert result.stderr.startswith(f"error: {config_path}:")
     assert next(iter(setting)) in result.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "options",
+    [["--alpha", "2"], ["--alpha", "0"], ["--max-anoms", "0"]],
+    ids=["alpha-2", "alpha-0", "max-anoms-0"],
+)
+def test_run_rejects_esd_options_before_any_stage(runner, segments_dir, tmp_path, options):
+    out = tmp_path / "out"
+    base = ["run", "--input", str(segments_dir), "--output", str(out), "--geometry", "16x16@1"]
+    result = runner.invoke(main, base + options)
+    assert result.exit_code == 2, result.output
+    assert result.stderr.startswith("error: esd_")
+    assert not out.exists()
+
+
+def test_detect_rejects_max_anoms_0(runner, tmp_path):
+    path, out = tmp_path / "series_count.csv", tmp_path / "out"
+    write_series(IntervalSeries(MONDAY, np.arange(400) % 7, "count"), path)
+    result = runner.invoke(main, ["decompose", "--series", str(path), "--output", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    decomposition = tmp_path / "decomposition_count.csv"
+    result = runner.invoke(
+        main,
+        ["detect", "--series", str(path), "--decomposition", str(decomposition)]
+        + ["--output", str(out), "--max-anoms", "0"],
+    )
+    assert result.exit_code == 2, result.output
+    assert "max_anomalies must be >= 1" in result.stderr
     assert not out.exists()
 
 

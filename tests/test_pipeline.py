@@ -15,6 +15,7 @@ from crowdseries.ingest import (
     DetectionRecord,
     FrameGeometry,
     MaskGeometry,
+    Segment,
     parse_segment_csv,
     serialize_records,
 )
@@ -28,7 +29,7 @@ from crowdseries.pipeline import (
     run_pipeline,
     series_stage,
 )
-from crowdseries.series import STEP_15_MIN, interval_saturation
+from crowdseries.series import STEP_15_MIN, HeatmapGrids, interval_saturations
 from crowdseries.storage import (
     read_decomposition,
     read_grouped_stats,
@@ -280,6 +281,87 @@ def test_cache_invalidated_by_config_change(fixture_dir, tmp_path):
     detect_after = read_report(out / "report_count.json")
     assert detect_after["config_echo"]["esd_alpha"] == 0.01
     assert detect_before["config_echo"]["esd_alpha"] == 0.05
+
+
+STAGES = ("series_stage", "augment_stage", "decompose_stage", "detect_stage")
+
+
+def allow_stages(monkeypatch, *allowed):
+    """Make the stage functions outside ``allowed`` raise; returns the names of those run."""
+    ran = []
+    for name in STAGES:
+
+        def stage(*args, name=name, real=getattr(pipeline, name), **kwargs):
+            if name not in allowed:
+                raise AssertionError(f"{name} ran")
+            ran.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, stage)
+    return ran
+
+
+def test_changing_alpha_runs_only_detect(fixture_dir, plotted_run, tmp_path, monkeypatch):
+    out = shutil.copytree(plotted_run, tmp_path / "out")
+    ran = allow_stages(monkeypatch, "detect_stage")
+    reports = run_pipeline(make_config(fixture_dir[0], out, esd_alpha=0.01))
+    assert ran == ["detect_stage"] * 2
+    assert [r["config_echo"]["esd_alpha"] for r in reports.values()] == [0.01, 0.01]
+
+
+def test_changing_seed_reruns_all_but_series(fixture_dir, plotted_run, tmp_path, monkeypatch):
+    out = shutil.copytree(plotted_run, tmp_path / "out")
+    ran = allow_stages(monkeypatch, "augment_stage", "decompose_stage", "detect_stage")
+    reports = run_pipeline(make_config(fixture_dir[0], out, seed=2))
+    assert ran == ["augment_stage"] * 2 + ["decompose_stage"] * 2 + ["detect_stage"] * 2
+    assert [r["config_echo"]["seed"] for r in reports.values()] == [2, 2]
+
+
+def test_changing_classes_updates_every_report(fixture_dir, plotted_run, tmp_path):
+    # the fixture holds only persons, so the series keep their bytes
+    out = shutil.copytree(plotted_run, tmp_path / "out")
+    reports = run_pipeline(make_config(fixture_dir[0], out, allowed_classes=("person", "car")))
+    for name in ("series_count.csv", "series_saturation.csv"):
+        assert (out / name).read_bytes() == (plotted_run / name).read_bytes()
+    for kind, report in reports.items():
+        assert report["config_echo"]["allowed_classes"] == ["car", "person"]
+        assert read_report(out / f"report_{kind}.json") == report
+
+
+def test_strict_run_after_skipping_bad_rows_names_the_file(segment_copy, tmp_path):
+    segments, _ = segment_copy
+    victim = sorted(segments.glob("*.csv"))[10]
+    lines = victim.read_text().splitlines()
+    fields = lines[1].split(",", 4)
+    fields[3] = "1.7"  # the confidence
+    victim.write_text("\n".join(lines + [",".join(fields)]) + "\n")
+    out = tmp_path / "out"
+    run_pipeline(make_config(segments, out, skip_bad_rows=True))
+    with pytest.raises(StageError, match=victim.name) as info:
+        run_pipeline(make_config(segments, out))
+    assert "confidence 1.7 outside [0, 1]" in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda text: text[: len(text) // 2],
+        lambda text: "[]",
+        lambda text: json.dumps({**json.loads(text), "series": 5}),
+    ],
+    ids=["truncated", "not-an-object", "entry-not-an-object"],
+)
+def test_damaged_manifest_reruns_every_stage(
+    fixture_dir, plotted_run, tmp_path, monkeypatch, damage
+):
+    out = shutil.copytree(plotted_run, tmp_path / "out")
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    manifest = out / "manifest.json"
+    manifest.write_text(damage(manifest.read_text()))
+    ran = allow_stages(monkeypatch, *STAGES)
+    run_pipeline(make_config(fixture_dir[0], out), emit_plots=True)
+    assert sorted(set(ran)) == sorted(STAGES)
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_workers_do_not_change_results(fixture_dir, tmp_path):
@@ -572,9 +654,11 @@ def test_chunked_reduction_matches_each_file_alone(tmp_path):
         files[i] = parse_segment_csv(path.read_text(), geometry).records()
     built = build_series(make_config(segments, tmp_path / "out", geometry=geometry))
     saturation = built["saturation"].values
-    assert [v.hex() for v in saturation] == [
-        interval_saturation(files[i], geometry).hex() for i in range(5)
+    alone = [
+        interval_saturations([Segment.from_records(files[i])], geometry, HeatmapGrids(geometry))[0]
+        for i in range(5)
     ]
+    assert [v.hex() for v in saturation] == [v.hex() for v in alone]
     for i, records in files.items():
         per_frame = [sum(r.timestamp == f for r in records) for f in {r.timestamp for r in records}]
         assert built["count"].values[i] == max(per_frame)

@@ -7,15 +7,13 @@ from hypothesis import strategies as st
 
 from conftest import brute_force_rasterize, make_record, utc
 from crowdseries import ingest, series
-from crowdseries.errors import AlignmentError, DegenerateMaskError, ValidationError
+from crowdseries.errors import AlignmentError, DegenerateMaskError
 from crowdseries.ingest import DetectionRecord, FrameGeometry, MaskGeometry, Segment, rasterize_mask
 from crowdseries.series import (
     STEP_15_MIN,
     HeatmapGrids,
-    accumulate_heatmap,
     count_series,
     heatmap_series,
-    interval_saturation,
     interval_saturations,
     nominal_frames,
     raw_heatmaps,
@@ -24,6 +22,18 @@ from crowdseries.series import (
 )
 
 T0 = utc(2023, 10, 2, 10, 0)
+
+
+def raw_of(records, geometry, grids=None):
+    """The ``raw_heatmaps`` grid of one segment holding ``records``."""
+    segments = [Segment.from_records(records)]
+    return next(raw_heatmaps(segments, geometry, grids or HeatmapGrids(geometry)))
+
+
+def saturation_of(records, geometry, grids=None):
+    """The ``interval_saturations`` value of one segment holding ``records``."""
+    segments = [Segment.from_records(records)]
+    return interval_saturations(segments, geometry, grids or HeatmapGrids(geometry))[0]
 
 
 class TestPerFrameCounts:
@@ -104,12 +114,12 @@ class TestHeatmap:
         for f in range(frames):
             r = make_record(T0 + timedelta(seconds=f))
             records.append(type(r)(r.timestamp, 0, "person", 0.9, (0, 0, 16, 16), full))
-        raw = accumulate_heatmap(records, small_geometry, frames)
+        raw = raw_of(records, small_geometry)
         assert (raw * (255.0 / frames) == 255).all()
         assert saturation_value(raw, frames, small_geometry) == 1.0
 
     def test_no_records_all_zero(self, small_geometry):
-        raw = accumulate_heatmap([], small_geometry, 900)
+        raw = raw_of([], small_geometry)
         assert not raw.any()
         assert saturation_value(raw, 900, small_geometry) == 0.0
 
@@ -121,7 +131,7 @@ class TestHeatmap:
         for f in range(2):
             r = make_record(T0 + timedelta(seconds=f), geometry=geo)
             records.append(type(r)(r.timestamp, 0, "person", 0.9, (0, 0, 4, 7), half))
-        normalized = accumulate_heatmap(records, geo, 4) * (255.0 / 4)
+        normalized = raw_of(records, geo) * (255.0 / 4)
         covered = brute_force_rasterize(half.polygon, 8, 8).astype(bool)
         assert (normalized[covered] == 127.5).all()
         assert (normalized[~covered] == 0).all()
@@ -130,7 +140,7 @@ class TestHeatmap:
         # two identical masks in one frame must not exceed one frame's worth
         r1 = make_record(T0, 0)
         r2 = make_record(T0, 0)
-        raw = accumulate_heatmap([r1, r2], small_geometry, 10)
+        raw = raw_of([r1, r2], small_geometry)
         assert raw.max() == 1
 
     def test_additivity_of_raw_accumulation(self, small_geometry):
@@ -139,21 +149,17 @@ class TestHeatmap:
             make_record(T0 + timedelta(seconds=int(o)), int(k))
             for o, k in zip(rng.integers(0, 60, 20), rng.integers(0, 10, 20))
         ]
-        whole = accumulate_heatmap(records, small_geometry, 60)
-        part_a = accumulate_heatmap(records[:11], small_geometry, 60)
-        part_b = accumulate_heatmap(records[11:], small_geometry, 60)
+        whole = raw_of(records, small_geometry)
+        part_a = raw_of(records[:11], small_geometry)
+        part_b = raw_of(records[11:], small_geometry)
         np.testing.assert_array_equal(whole, part_a + part_b)
 
     def test_monotone_in_added_mask(self, small_geometry):
         records = [make_record(T0, 0)]
-        before = saturation_value(accumulate_heatmap(records, small_geometry, 10), 10, small_geometry)
+        before = saturation_value(raw_of(records, small_geometry), 10, small_geometry)
         records.append(make_record(T0 + timedelta(seconds=1), 1))
-        after = saturation_value(accumulate_heatmap(records, small_geometry, 10), 10, small_geometry)
+        after = saturation_value(raw_of(records, small_geometry), 10, small_geometry)
         assert after >= before
-
-    def test_frames_must_be_positive(self, small_geometry):
-        with pytest.raises(ValidationError):
-            accumulate_heatmap([], small_geometry, 0)
 
 
 class TestSaturationValue:
@@ -177,20 +183,20 @@ class TestSaturationValue:
         records = [
             make_record(T0 + timedelta(seconds=f), b) for b in range(4) for f in range(b + 1)
         ]
-        raw = accumulate_heatmap(records, small_geometry, frames)
+        raw = raw_of(records, small_geometry)
         scale = 255.0 / frames
         denominator = small_geometry.width * small_geometry.height * 255.0
         assert (raw * scale).sum() != raw.sum() * scale
         expected = (raw * scale).sum() / denominator
         assert expected != raw.sum() * scale / denominator
         assert saturation_value(raw, frames, small_geometry) == expected
-        assert interval_saturation(records, small_geometry) == expected
+        assert saturation_of(records, small_geometry) == expected
         s = heatmap_series({T0: expected}, (T0, T0 + STEP_15_MIN))
         assert s.values[0] == expected
 
 
 def saturation_by_interval(interval_records, geometry):
-    return {ts: interval_saturation(r, geometry) for ts, r in interval_records.items()}
+    return {ts: saturation_of(r, geometry) for ts, r in interval_records.items()}
 
 
 class TestHeatmapSeries:
@@ -213,7 +219,7 @@ class TestHeatmapSeries:
         assert s.gaps == (0, 1, 2)
 
     def test_interval_without_records_is_a_gap(self, small_geometry):
-        assert interval_saturation([], small_geometry) is None
+        assert saturation_of([], small_geometry) is None
         s = heatmap_series({T0: None}, (T0, T0 + STEP_15_MIN))
         assert list(s.values) == [0.0]
         assert s.gaps == (0,)
@@ -242,11 +248,9 @@ class TestHeatmapSeries:
                 make_record(T0 + timedelta(seconds=int(o)), int(k))
                 for o, k in zip(rng.integers(0, 30, 12), rng.integers(0, 40, 12))
             ]
-            fresh = accumulate_heatmap(records, small_geometry, 900).copy()
-            np.testing.assert_array_equal(
-                accumulate_heatmap(records, small_geometry, 900, grids), fresh
-            )
-            assert interval_saturation(records, small_geometry, grids) == interval_saturation(
+            fresh = raw_of(records, small_geometry).copy()
+            np.testing.assert_array_equal(raw_of(records, small_geometry, grids), fresh)
+            assert saturation_of(records, small_geometry, grids) == saturation_of(
                 records, small_geometry
             )
 
@@ -277,7 +281,7 @@ class TestIntervalSaturations:
         together = interval_saturations(
             [Segment.from_records(r) for r in intervals], small_geometry, grids
         )
-        alone = [interval_saturation(r, small_geometry) for r in intervals]
+        alone = [saturation_of(r, small_geometry) for r in intervals]
         assert [v and v.hex() for v in together] == [v and v.hex() for v in alone]
         assert None in together and len(set(together)) > 10
 
@@ -312,7 +316,7 @@ class TestIntervalSaturations:
                     if r.timestamp == ts:
                         union |= brute_force_rasterize(r.mask.polygon, 16, 16).astype(bool)
                 expected += union
-            np.testing.assert_array_equal(accumulate_heatmap(records, small_geometry, 3), expected)
+            np.testing.assert_array_equal(raw_of(records, small_geometry), expected)
 
     def test_degenerate_mask_names_its_segment(self, small_geometry):
         good = [make_record(T0, 0)]
@@ -335,4 +339,4 @@ class TestIntervalSaturations:
             DetectionRecord(t_b, 0, "person", 0.9, (3, 3, 4, 4), b),
         ]
         with pytest.raises(DegenerateMaskError, match=r"\(3\.1, 3\.1\)"):
-            interval_saturation(records, small_geometry)
+            saturation_of(records, small_geometry)
